@@ -1,10 +1,10 @@
 """Harness integration: static analysis reports as a store artefact.
 
-Exposes the uniform experiment interface (``run`` / ``run_one`` /
-``render``) so ``python -m repro.harness run analysis`` lints kernels in
-parallel and lands the per-workload summaries in the content-addressed
-result store — the suite's structural health, cached and invalidated by
-the same code-fingerprint discipline as every paper artefact.
+Exposes the uniform experiment interface (``run`` / ``render``) so
+``python -m repro.harness run analysis`` lints kernels in parallel and
+lands the per-workload summaries in the content-addressed result store
+— the suite's structural health, cached and invalidated by the same
+code-fingerprint discipline as every paper artefact.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ def run(scale: float = 1.0,
             diagnostics=[d.render() for d in report.errors + report.warnings],
         ))
     return rows
-
-
-def run_one(workload: str, scale: float, **kwargs):
-    """One (workload, scale) cell of the grid — the harness entry point."""
-    return run(scale=scale, workloads=[workload], **kwargs)
 
 
 def render(rows: List[AnalysisRow]) -> str:

@@ -38,7 +38,6 @@ from repro.chaos.inject import (
     worker_saboteur,
 )
 from repro.chaos.oracle import (
-    ORACLE_VERSION,
     Divergence,
     OracleOutcome,
     Violation,
@@ -67,7 +66,6 @@ __all__ = [
     "DEFAULT_SEED",
     "Divergence",
     "DrillResult",
-    "ORACLE_VERSION",
     "OracleOutcome",
     "PREDICTOR_FAULTS",
     "PredictorInjector",

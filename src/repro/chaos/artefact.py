@@ -1,10 +1,10 @@
 """Harness integration: chaos campaigns as a store artefact.
 
-Exposes the uniform experiment interface (``run`` / ``run_one`` /
-``render``) so ``python -m repro.harness run chaos`` shakes kernels in
-parallel and lands each kernel's report in the content-addressed result
-store.  The campaign seed and injection count ride in the job params, so
-different campaigns cache as different cells.
+Exposes the uniform experiment interface (``run`` / ``render``) so
+``python -m repro.harness run chaos`` shakes kernels in parallel and
+lands each kernel's report in the content-addressed result store.  The
+campaign seed and injection count ride in the job params, so different
+campaigns cache as different cells.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ def run(scale: float = 1.0,
     return [run_kernel_campaign(workload, scale, seed=seed,
                                 injections=injections, faults=faults)
             for workload in select_workloads(workloads)]
-
-
-def run_one(workload: str, scale: float, **kwargs):
-    """One (workload, scale) cell of the grid — the harness entry point."""
-    return run(scale=scale, workloads=[workload], **kwargs)
 
 
 def render(rows: List[ChaosRow]) -> str:

@@ -41,10 +41,6 @@ from repro.isa.registers import ZERO_REG
 from repro.chaos.inject import PredictorInjector
 from repro.trace.records import DynInst
 
-#: bump when the oracle's comparison semantics change (part of the
-#: harness cache identity for the chaos artefact)
-ORACLE_VERSION = 1
-
 #: a commit rule: (engine's view of the load, true memory value) -> the
 #: value that reaches architectural state
 CommitRule = Callable[[Optional[ObservedAccess], object], object]

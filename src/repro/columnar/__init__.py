@@ -31,7 +31,6 @@ from repro.columnar.backend import (
     backend_names,
     get_backend,
 )
-from repro.columnar.batch import TraceTable, iter_record_batches, materialized_trace
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -40,10 +39,7 @@ __all__ = [
     "ReferenceBackend",
     "SimBackend",
     "TraceSummary",
-    "TraceTable",
     "backend_available",
     "backend_names",
     "get_backend",
-    "iter_record_batches",
-    "materialized_trace",
 ]

@@ -15,9 +15,9 @@ vectorized columnar pipeline) is a config choice:
   so the package imports without NumPy) materializes the trace into
   columnar record batches and answers from vectorized kernels.
 
-Backends are looked up by name through :func:`get_backend`; the names
-are what :class:`repro.core.CloakingConfig` and harness JobSpec params
-carry, so result-store fingerprints distinguish backends.
+Backends are looked up by name through :func:`get_backend`; the name
+is what the harness ``backend`` JobSpec param carries, so store keys
+distinguish backends.
 """
 
 from __future__ import annotations

@@ -60,24 +60,10 @@ class CloakingConfig:
     # whose access size differs from the SF value's producer size does not
     # speculate (avoiding guaranteed-wrong cross-size communication).
     check_size_mismatch: bool = False
-    # Which repro.columnar simulation backend drives the measurement
-    # stages ("reference" or "numpy").  Semantically neutral — the parity
-    # suite guarantees identical results — but part of the config repr,
-    # hence of the result-store fingerprint, so cached rows are traceable
-    # to the backend that produced them.
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         if self.merge_policy not in ("incremental", "full", "never"):
             raise ValueError(f"unknown merge policy {self.merge_policy!r}")
-        # validate lazily against the columnar registry (no import cycle:
-        # repro.columnar does not import repro.core)
-        from repro.columnar.backend import BACKEND_NAMES
-
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; valid backends: "
-                + ", ".join(BACKEND_NAMES))
         if self.mode == CloakingMode.RAW and self.ddt.record_loads:
             # The original RAW-only mechanism does not record loads in the
             # DDT; constructing it with a load-recording DDT silently changes

@@ -108,11 +108,6 @@ def run(scale: float = 1.0,
     return rows
 
 
-def run_one(workload: str, scale: float, **kwargs):
-    """One (workload, scale) cell of the grid — the harness entry point."""
-    return run(scale=scale, workloads=[workload], **kwargs)
-
-
 def render(rows: List[StaticDDTRow]) -> str:
     table_rows = []
     for row in rows:

@@ -35,11 +35,6 @@ def run(scale: float = 1.0,
     ]
 
 
-def run_one(workload: str, scale: float, **kwargs):
-    """One (workload, scale) cell of the grid — the harness entry point."""
-    return run(scale=scale, workloads=[workload], **kwargs)
-
-
 def render(rows: List["fig9.SpeedupRow"]) -> str:
     table_rows = [
         [row.abbrev, f"{row.base_ipc:.2f}",

@@ -79,11 +79,6 @@ def run(scale: float = 1.0, workloads: Optional[Sequence[str]] = None,
     return rows
 
 
-def run_one(workload: str, scale: float, **kwargs):
-    """One (workload, scale) cell of the grid — the harness entry point."""
-    return run(scale=scale, workloads=[workload], **kwargs)
-
-
 def render(rows: List[LocalityBreakdownRow]) -> str:
     addr_rows = []
     value_rows = []

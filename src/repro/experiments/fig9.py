@@ -106,11 +106,6 @@ def summarize(rows: List[SpeedupRow]) -> Dict[str, Dict[str, float]]:
     return summary
 
 
-def run_one(workload: str, scale: float, **kwargs):
-    """One (workload, scale) cell of the grid — the harness entry point."""
-    return run(scale=scale, workloads=[workload], **kwargs)
-
-
 def render(rows: List[SpeedupRow]) -> str:
     labels = [label for label, _, _ in CONFIGS]
     table_rows = [

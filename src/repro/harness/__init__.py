@@ -7,9 +7,9 @@ backend — inline in-process, a crash-isolated ``fork`` pool, or a
 leased persistent work queue drained by workers on any host sharing the
 store (:mod:`repro.harness.backends`, :mod:`repro.harness.queue`,
 :mod:`repro.harness.worker`) — caches every cell's rows on disk keyed
-by a stable hash of the cell's full configuration plus a code fingerprint
-(:mod:`repro.harness.store`), and records what happened in a run manifest
-(:mod:`repro.harness.manifest`).
+by a stable hash of the cell's identity (artefact, workload, scale,
+params) plus a code fingerprint (:mod:`repro.harness.store`), and
+records what happened in a run manifest (:mod:`repro.harness.manifest`).
 
 ``python -m repro.harness run summary --workers 8`` runs the whole
 evaluation in parallel; a second invocation is almost entirely cache

@@ -33,7 +33,7 @@ from repro.harness.manifest import STATUS_HIT, JobRecord, RunManifest
 from repro.harness.registry import ARTEFACTS
 from repro.harness.store import ResultStore, code_fingerprint
 
-#: artefacts whose ``run_one`` accepts a ``backend`` parameter
+#: artefacts whose ``run`` accepts a ``backend`` parameter
 BACKEND_AWARE = frozenset({"fig2", "fig5", "fig7"})
 
 

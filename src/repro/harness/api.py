@@ -21,7 +21,7 @@ from repro.harness.store import ResultStore
 
 @dataclass(frozen=True)
 class ArtefactRequest:
-    """One artefact at one scale (with optional run_one kwargs)."""
+    """One artefact at one scale (with optional job params)."""
 
     name: str
     scale: float

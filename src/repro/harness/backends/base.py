@@ -28,7 +28,8 @@ from repro.harness.manifest import STATUS_FAILED, JobRecord
 from repro.harness.store import ResultStore
 from repro.util.hashing import stable_hash
 
-#: one pending entry: (spec, attempt number, earliest start time)
+#: one pending entry: (spec, attempt number, earliest start time on the
+#: ``time.monotonic`` clock; pending entries never leave this process)
 PendingEntry = Tuple[JobSpec, int, float]
 
 #: signature of the scheduler's record factory (spec, key, status, ...)
@@ -98,7 +99,7 @@ class ExecutionBackend(ABC):
              error: str, wall_time: float, worker=None) -> None:
         """Requeue a failed attempt, or record it as terminally failed."""
         if attempts <= self.config.retries:
-            not_before = time.time() + retry_backoff_delay(
+            not_before = time.monotonic() + retry_backoff_delay(
                 spec, attempts, self.config.retry_backoff)
             state.pending.append((spec, attempts + 1, not_before))
             return

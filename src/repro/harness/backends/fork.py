@@ -3,10 +3,11 @@
 Each cache-miss job runs in its own worker process (``fork`` start
 method), so a worker that dies — segfault, OOM kill, unhandled exception
 — fails exactly one cell and never takes the sweep down.  Jobs get a
-per-job wall-clock timeout; a worker that outlives it is first sent
-SIGTERM, and if it ignores that (blocked in C code, masked signals, a
-deliberate chaos hang) it is SIGKILLed after ``term_grace`` seconds — the
-sweep never blocks on an unkillable child.  Failed attempts requeue
+per-job timeout on the monotonic clock, so a wall-clock step cannot
+fire it; a worker that outlives it is first sent SIGTERM, and if it
+ignores that (blocked in C code, masked signals, a deliberate chaos
+hang) it is SIGKILLed after ``term_grace`` seconds — the sweep never
+blocks on an unkillable child.  Failed attempts requeue
 through the shared key-derived backoff (see ``backends.base``).
 """
 
@@ -26,15 +27,15 @@ from repro.harness.store import ResultStore
 
 def _worker_main(spec: JobSpec, key: str, store_root, conn) -> None:
     """Child-process entry: run one job, persist it, report back."""
-    start = time.time()
+    start = time.monotonic()
     try:
         rows = execute_job(spec)
-        elapsed = time.time() - start
+        elapsed = time.monotonic() - start
         if store_root is not None:
             ResultStore(store_root).put(key, spec, rows, elapsed)
         conn.send(("ok", rows, elapsed))
     except BaseException:
-        conn.send(("err", traceback.format_exc(), time.time() - start))
+        conn.send(("err", traceback.format_exc(), time.monotonic() - start))
     finally:
         conn.close()
 
@@ -48,7 +49,7 @@ class _Attempt:
         self.attempts = attempts
         self.proc = proc
         self.conn = conn
-        self.started = time.time()
+        self.started = time.monotonic()
 
 
 class ForkBackend(ExecutionBackend):
@@ -69,7 +70,7 @@ class ForkBackend(ExecutionBackend):
                     if len(active) >= self.config.workers:
                         break
                     spec, attempts, not_before = pending.popleft()
-                    if not_before > time.time():
+                    if not_before > time.monotonic():
                         pending.append((spec, attempts, not_before))
                         continue
                     recv, send = ctx.Pipe(duplex=False)
@@ -136,7 +137,7 @@ class ForkBackend(ExecutionBackend):
                          f"worker died without reporting a result "
                          f"(exit code {attempt.proc.exitcode})")
                 self.fail(state, spec, key, attempt.attempts, error,
-                          time.time() - attempt.started,
+                          time.monotonic() - attempt.started,
                           worker=attempt.proc.pid)
             return True
         if not attempt.proc.is_alive():
@@ -144,15 +145,16 @@ class ForkBackend(ExecutionBackend):
             self.fail(state, spec, key, attempt.attempts,
                       f"worker died without reporting a result "
                       f"(exit code {attempt.proc.exitcode})",
-                      time.time() - attempt.started, worker=attempt.proc.pid)
+                      time.monotonic() - attempt.started,
+                      worker=attempt.proc.pid)
             return True
         if (self.config.timeout is not None
-                and time.time() - attempt.started > self.config.timeout):
+                and time.monotonic() - attempt.started > self.config.timeout):
             self._stop_worker(attempt.proc)
             attempt.conn.close()
             self.fail(state, spec, key, attempt.attempts,
                       f"timed out after {self.config.timeout:g}s",
-                      time.time() - attempt.started,
+                      time.monotonic() - attempt.started,
                       worker=attempt.proc.pid)
             return True
         return False

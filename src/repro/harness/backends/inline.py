@@ -25,18 +25,18 @@ class InlineBackend(ExecutionBackend):
         pending = state.pending
         while pending:
             spec, attempts, not_before = pending.popleft()
-            delay = not_before - time.time()
+            delay = not_before - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             key = state.keys[spec]
-            start = time.time()
+            start = time.monotonic()
             try:
                 rows = execute_job(spec)
             except Exception:
                 self.fail(state, spec, key, attempts,
-                          traceback.format_exc(), time.time() - start)
+                          traceback.format_exc(), time.monotonic() - start)
                 continue
-            elapsed = time.time() - start
+            elapsed = time.monotonic() - start
             if state.store is not None:
                 state.store.put(key, spec, rows, elapsed)
             state.results[spec] = rows

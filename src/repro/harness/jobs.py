@@ -14,7 +14,7 @@ import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.harness.registry import ARTEFACTS, get_artefact
+from repro.harness.registry import get_artefact
 
 #: Pre-execution hook invoked with the JobSpec inside the executing
 #: process (worker or inline).  Fork workers inherit it, so a hook set in
@@ -45,7 +45,8 @@ class JobSpec:
 
     ``params`` carries experiment-specific keyword arguments (for example
     ``sizes=(128,)`` for a reduced Figure 5 sweep); they are forwarded to
-    ``run_one`` and participate in the store hash key.
+    the module's ``run_one`` (or ``run``) and participate in the store
+    hash key.
     """
 
     artefact: str
@@ -68,7 +69,6 @@ class JobSpec:
             "workload": self.workload,
             "scale": repr(float(self.scale)),
             "params": {k: v for k, v in self.params},
-            "config": get_artefact(self.artefact).config_descriptor(),
         }
 
     def to_json(self) -> dict:
@@ -109,21 +109,12 @@ def make_job(artefact: str, workload: str, scale: float,
 def expand_jobs(artefact: str, scale: float,
                 workloads: Optional[Sequence[str]] = None,
                 params: Optional[dict] = None) -> List[JobSpec]:
-    """Decompose one artefact request into per-cell jobs (paper order).
-
-    Most artefacts shard per workload kernel; an artefact with a custom
-    ``cells`` axis (for example ``ext_staticcheck``, which shards by
-    source subpackage) supplies its own cell names, and the kernel
-    ``workloads`` filter is not applied to it.
-    """
+    """Decompose one artefact request into per-workload jobs (paper order)."""
     from repro.experiments.runner import select_workloads
 
-    spec = get_artefact(artefact)  # validate the name early
-    if spec.cells is not None:
-        return [make_job(artefact, cell, scale, params)
-                for cell in spec.cells()]
-    selected = select_workloads(workloads)
-    return [make_job(artefact, w.abbrev, scale, params) for w in selected]
+    get_artefact(artefact)  # validate the name early
+    return [make_job(artefact, w.abbrev, scale, params)
+            for w in select_workloads(workloads)]
 
 
 def load_experiment_module(dotted: str):
@@ -140,7 +131,11 @@ def load_experiment_module(dotted: str):
 
 
 def execute_job(spec: JobSpec) -> list:
-    """Run one cell in the current process; returns the row list."""
+    """Run one cell in the current process; returns the row list.
+
+    Calls the module's ``run_one(workload, scale, **params)`` when it
+    defines one, else ``run`` over the single workload.
+    """
     if _INJECTION_HOOK is not None:
         _INJECTION_HOOK(spec)
     module = importlib.import_module(get_artefact(spec.artefact).module)

@@ -1,176 +1,28 @@
 """The artefact registry: what the harness knows how to run.
 
-Every entry names an experiment module exposing the uniform interface
-``run(scale, workloads) -> rows`` / ``render(rows) -> str`` (plus the
-per-cell ``run_one(workload, scale)`` entry point), together with a
-*configuration descriptor* — the pipeline/DDT/predictor configuration the
-experiment bakes in.  The descriptor participates in the result-store
-hash key, so changing a paper configuration (say the DDT size behind
-Figure 6) invalidates exactly the cached cells it affects.
+Every entry names a module exposing the uniform interface
+``run(scale, workloads) -> rows`` / ``render(rows) -> str``, and may add
+a per-cell ``run_one(workload, scale, **params)`` when one cell must do
+more than ``run`` over a single workload.  A cell's store key is its
+``JobSpec`` identity plus the code fingerprint; every registered module
+lives outside ``repro.harness``, so the fingerprint covers its code and
+the configuration constants it bakes in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 
 @dataclass(frozen=True)
 class ArtefactSpec:
-    """One runnable artefact: module location plus cache-key metadata."""
+    """One runnable artefact: module location plus summary metadata."""
 
     name: str
     module: str                     # dotted import path
     title: str                      # section heading used by ``summary``
     summary_multiplier: Optional[float] = None  # None = not part of summary
-    config: Callable[[], dict] = field(default=lambda: {})
-    #: custom cell axis: () -> cell names.  ``None`` means the default
-    #: per-workload grid; artefacts whose unit of work is not a kernel
-    #: (``ext_staticcheck`` shards by source subpackage) provide their
-    #: own axis, and the ``--workloads`` filter does not apply to them.
-    cells: Optional[Callable[[], List[str]]] = None
-
-    def config_descriptor(self) -> dict:
-        """The JSON-able configuration participating in the hash key."""
-        return self.config()
-
-
-def _accuracy_config() -> dict:
-    from repro.core import CloakingConfig
-    from repro.predictors.confidence import ConfidenceKind
-
-    return {
-        "cloaking": {
-            kind.value: repr(CloakingConfig.paper_accuracy(confidence=kind))
-            for kind in (ConfidenceKind.ONE_BIT, ConfidenceKind.TWO_BIT)
-        },
-    }
-
-
-def _locality_config() -> dict:
-    from repro.experiments.fig2 import WINDOWS
-
-    return {"windows": {k: v for k, v in WINDOWS.items()}, "max_n": 4}
-
-
-def _sweep_config() -> dict:
-    from repro.experiments.fig5 import DDT_SIZES
-
-    return {"ddt_sizes": list(DDT_SIZES)}
-
-
-def _breakdown_config() -> dict:
-    from repro.core import CloakingConfig
-
-    return {"cloaking": repr(CloakingConfig.paper_accuracy())}
-
-
-def _overlap_config() -> dict:
-    from repro.core import CloakingConfig
-
-    return {"cloaking": repr(CloakingConfig.paper_overlap()),
-            "vp_capacity": 16 * 1024}
-
-
-def _timing_config() -> dict:
-    from repro.core import CloakingConfig
-    from repro.pipeline import ProcessorConfig
-
-    return {"processor": repr(ProcessorConfig()),
-            "cloaking": repr(CloakingConfig.paper_timing())}
-
-
-def _nospec_timing_config() -> dict:
-    from repro.core import CloakingConfig
-    from repro.pipeline import ProcessorConfig
-
-    return {"processor": repr(ProcessorConfig(memory_speculation=False)),
-            "cloaking": repr(CloakingConfig.paper_timing())}
-
-
-def _hybrid_config() -> dict:
-    from repro.core import CloakingConfig
-
-    return {"cloaking": repr(CloakingConfig.paper_overlap()), "hybrid": True}
-
-
-def _distance_config() -> dict:
-    from repro.experiments.ext_distance import LIMITS
-
-    return {"limits": list(LIMITS), "rescue_limit": 128}
-
-
-def _predictors_config() -> dict:
-    from repro.core import CloakingConfig
-
-    return {"cloaking": repr(CloakingConfig.paper_overlap()),
-            "predictors": ["last_value", "stride"]}
-
-
-def _analysis_config() -> dict:
-    from repro.analysis.__main__ import JSON_SCHEMA_VERSION
-
-    return {"analyzer_schema": JSON_SCHEMA_VERSION}
-
-
-def _static_ddt_config() -> dict:
-    from repro.analysis.__main__ import JSON_SCHEMA_VERSION
-    from repro.experiments.ext_static_ddt import MISS_LIMIT
-
-    return {"analyzer_schema": JSON_SCHEMA_VERSION,
-            "ddt": "infinite", "miss_limit": MISS_LIMIT}
-
-
-def _static_distance_config() -> dict:
-    from repro.analysis.__main__ import JSON_SCHEMA_VERSION
-    from repro.experiments.ext_static_distance import VIOLATION_LIMIT
-
-    return {"analyzer_schema": JSON_SCHEMA_VERSION,
-            "ddt": "infinite", "metric": "distance",
-            "violation_limit": VIOLATION_LIMIT}
-
-
-def _staticcheck_config() -> dict:
-    from pathlib import Path
-
-    import repro.harness
-    from repro.staticcheck import REGISTRY_VERSION, REPORT_SCHEMA_VERSION
-    from repro.util.hashing import tree_fingerprint
-
-    # the store's code fingerprint excludes repro/harness, so staticcheck
-    # cells (which analyze it) fold their own fingerprint of it into the
-    # config key; REGISTRY_VERSION invalidates on rule-set changes.
-    harness_root = Path(repro.harness.__file__).resolve().parent
-    return {"registry_version": REGISTRY_VERSION,
-            "report_schema": REPORT_SCHEMA_VERSION,
-            "harness_fingerprint": tree_fingerprint(harness_root)}
-
-
-def _staticcheck_cells() -> List[str]:
-    from repro.staticcheck.artefact import scopes
-
-    return scopes()
-
-
-def _serve_soak_config() -> dict:
-    from repro.core import CloakingConfig
-    from repro.serve.protocol import DEGRADED_REASONS, PROTO_VERSION
-    from repro.serve.soak import SOAK_FAULTS, SOAK_VERSION
-
-    return {"proto": PROTO_VERSION, "soak_version": SOAK_VERSION,
-            "degraded_reasons": list(DEGRADED_REASONS),
-            "faults": list(SOAK_FAULTS),
-            "cloaking": repr(CloakingConfig.paper_accuracy())}
-
-
-def _chaos_config() -> dict:
-    from repro.chaos.inject import PREDICTOR_FAULTS
-    from repro.chaos.oracle import ORACLE_VERSION
-    from repro.core import CloakingConfig
-
-    return {"oracle": ORACLE_VERSION,
-            "faults": list(PREDICTOR_FAULTS),
-            "cloaking": repr(CloakingConfig.paper_accuracy())}
 
 
 #: Paper order; ``summary_multiplier`` mirrors ``summary.ARTEFACTS`` (the
@@ -201,42 +53,31 @@ def register(spec: ArtefactSpec) -> ArtefactSpec:
 for _spec in (
         ArtefactSpec("table51", "repro.experiments.table51",
                      "Table 5.1", 1.0),
-        ArtefactSpec("fig2", "repro.experiments.fig2",
-                     "Figure 2", 1.0, _locality_config),
-        ArtefactSpec("fig5", "repro.experiments.fig5",
-                     "Figure 5", 1.0, _sweep_config),
-        ArtefactSpec("fig6", "repro.experiments.fig6",
-                     "Figure 6", 1.0, _accuracy_config),
-        ArtefactSpec("fig7", "repro.experiments.fig7",
-                     "Figure 7", 1.0, _breakdown_config),
+        ArtefactSpec("fig2", "repro.experiments.fig2", "Figure 2", 1.0),
+        ArtefactSpec("fig5", "repro.experiments.fig5", "Figure 5", 1.0),
+        ArtefactSpec("fig6", "repro.experiments.fig6", "Figure 6", 1.0),
+        ArtefactSpec("fig7", "repro.experiments.fig7", "Figure 7", 1.0),
         ArtefactSpec("table52", "repro.experiments.table52",
-                     "Table 5.2", 1.0, _overlap_config),
-        ArtefactSpec("fig9", "repro.experiments.fig9",
-                     "Figure 9", 0.25, _timing_config),
-        ArtefactSpec("fig10", "repro.experiments.fig10",
-                     "Figure 10", 0.25, _nospec_timing_config),
+                     "Table 5.2", 1.0),
+        ArtefactSpec("fig9", "repro.experiments.fig9", "Figure 9", 0.25),
+        ArtefactSpec("fig10", "repro.experiments.fig10", "Figure 10", 0.25),
         ArtefactSpec("ext_hybrid", "repro.experiments.ext_hybrid",
-                     "Extension: hybrid", 1.0, _hybrid_config),
+                     "Extension: hybrid", 1.0),
         ArtefactSpec("ext_distance", "repro.experiments.ext_distance",
-                     "Extension: distances", 1.0, _distance_config),
+                     "Extension: distances", 1.0),
         ArtefactSpec("ext_predictors", "repro.experiments.ext_predictors",
-                     "Extension: predictors", None, _predictors_config),
+                     "Extension: predictors"),
         ArtefactSpec("ext_static_ddt", "repro.experiments.ext_static_ddt",
-                     "Extension: static vs dynamic DDT", None,
-                     _static_ddt_config),
+                     "Extension: static vs dynamic DDT"),
         ArtefactSpec("ext_static_distance",
                      "repro.experiments.ext_static_distance",
-                     "Extension: static distance bounds", None,
-                     _static_distance_config),
+                     "Extension: static distance bounds"),
         ArtefactSpec("analysis", "repro.analysis.artefact",
-                     "Static analysis", None, _analysis_config),
-        ArtefactSpec("ext_staticcheck", "repro.staticcheck.artefact",
-                     "Extension: invariant lint", None, _staticcheck_config,
-                     cells=_staticcheck_cells),
+                     "Static analysis"),
         ArtefactSpec("chaos", "repro.chaos.artefact",
-                     "Chaos: fault injection", None, _chaos_config),
+                     "Chaos: fault injection"),
         ArtefactSpec("ext_serve_soak", "repro.serve.artefact",
-                     "Extension: serve soak", None, _serve_soak_config),
+                     "Extension: serve soak"),
 ):
     register(_spec)
 del _spec

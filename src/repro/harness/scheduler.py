@@ -97,7 +97,7 @@ class Scheduler:
     def run(self, jobs: List[JobSpec], store: Optional[ResultStore] = None,
             use_cache: bool = True) -> "SchedulerRun":
         """Execute ``jobs``; returns rows per job plus the manifest."""
-        started = time.time()
+        started = time.monotonic()
         manifest = RunManifest(workers=self.workers,
                                fingerprint=code_fingerprint(),
                                backend=self.backend_name)
@@ -135,7 +135,7 @@ class Scheduler:
                                      records=records, record=self._record))
 
         manifest.jobs = [records[spec] for spec in unique]
-        manifest.wall_time = time.time() - started
+        manifest.wall_time = time.monotonic() - started
         return SchedulerRun(results=results, manifest=manifest)
 
     # -- record helpers --------------------------------------------------

@@ -3,13 +3,14 @@
 Each cached object is the row list of one job, stored as JSON under a key
 that hashes the cell's full identity:
 
-    sha256({artefact, workload, scale, params, config, fingerprint})
+    sha256({artefact, workload, scale, params, fingerprint})
 
-where ``config`` is the artefact's configuration descriptor (pipeline /
-DDT / predictor settings, see :mod:`repro.harness.registry`) and
-``fingerprint`` digests every ``.py`` file under ``src/repro`` except the
-harness itself.  Unchanged cells are cache hits on the next run; any code
-or configuration change misses cleanly instead of serving stale rows.
+where ``fingerprint`` digests every ``.py`` file under ``src/repro``
+except the harness itself.  Every registered artefact module lives
+inside the fingerprinted tree, and so does every configuration it bakes
+in (pipeline / DDT / predictor settings are constants in those files),
+so unchanged cells are cache hits on the next run and any code or
+configuration change misses cleanly instead of serving stale rows.
 
 The row serializer (``rows_to_payload`` / ``rows_from_payload``) is also
 what the shared ``--json`` experiment flag emits, so on-disk cache

@@ -127,9 +127,9 @@ def _run_claim(queue: JobQueue, store: ResultStore, claim: Claim,
     try:
         stats.claimed += 1
         stats.labels.append(spec.label)
-        start = time.time()
+        start = time.monotonic()
         rows = execute_job(spec)
-        elapsed = time.time() - start
+        elapsed = time.monotonic() - start
         store.put(claim.key, spec, rows, elapsed)
     except (KeyboardInterrupt, SystemExit):
         # Interrupted mid-job: hand the lease back uncharged-looking
@@ -149,6 +149,7 @@ def _run_claim(queue: JobQueue, store: ResultStore, claim: Claim,
             say(f"{spec.label}: failed terminally "
                 f"(attempt {claim.attempt}/{retries + 1})")
         else:
+            # wall clock: the queue's not_before crosses processes and hosts
             queue.release(claim.key, error=traceback.format_exc(),
                           not_before=time.time() + retry_backoff_delay(
                               spec, claim.attempt, retry_backoff))

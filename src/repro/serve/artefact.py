@@ -1,8 +1,8 @@
 """Harness integration: the chaos soak drill as a store artefact.
 
 ``ext_serve_soak`` exposes the uniform experiment interface (``run`` /
-``run_one`` / ``render``) so ``python -m repro.harness run
-ext_serve_soak`` drills kernels in parallel and caches each kernel's
+``render``) so ``python -m repro.harness run ext_serve_soak`` drills
+kernels in parallel and caches each kernel's
 :class:`~repro.serve.soak.SoakRow` in the result store.  Latency
 percentiles are wall-clock measurements, so the drill publishes the
 service-level numbers (sessions/sec, p50/p99) to
@@ -33,11 +33,6 @@ def run(scale: float = 1.0,
     return [run_soak(spec.abbrev, scale, seed=seed, sessions=sessions,
                      overload=overload)
             for spec in select_workloads(workloads)]
-
-
-def run_one(workload: str, scale: float, **kwargs) -> List[SoakRow]:
-    """One (workload, scale) cell of the grid — the harness entry point."""
-    return run(scale=scale, workloads=[workload], **kwargs)
 
 
 def render(rows: List[SoakRow]) -> str:

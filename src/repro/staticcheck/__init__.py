@@ -24,7 +24,7 @@ Rule families (full reference in docs/staticcheck.md):
 * ``CK*`` cache-key soundness — dynamic import / getattr dispatch the
   code fingerprint cannot see.
 * ``AS*`` async soundness — blocking calls reachable from coroutines
-  (via the resolved call graph), unawaited coroutines, dropped task
+  (via the call graph), unawaited coroutines, dropped task
   handles, locks held across ``await``.
 * ``SH*`` shared-state isolation — class-body mutables shared across
   instances/sessions, read-await-write races in spawned tasks, closure
@@ -55,7 +55,7 @@ from repro.staticcheck.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.staticcheck.callgraph import CallGraph, ResolvedCallGraph
+from repro.staticcheck.callgraph import CallGraph
 from repro.staticcheck.model import (
     REPORT_SCHEMA_VERSION,
     CheckReport,
@@ -90,7 +90,7 @@ _FILE_CHECKS = (
     checks_resource.check_file,
 )
 
-#: whole-graph passes (built on the resolved call graph), in report order
+#: whole-graph passes (built on the call graph), in report order
 _GRAPH_CHECKS = (
     checks_determinism.check_wallclock,
     checks_async.check_graph,
@@ -148,7 +148,7 @@ def check_sources(sources: Sequence[SourceFile],
     for source in sources:
         for check in _FILE_CHECKS:
             raw.extend(check(source))
-    graph = ResolvedCallGraph(sources)
+    graph = CallGraph(sources)
     for check in _GRAPH_CHECKS:
         raw.extend(check(sources, graph))
 
@@ -185,7 +185,6 @@ __all__ = [
     "REGISTRY_VERSION",
     "REPORT_SCHEMA_VERSION",
     "RULES",
-    "ResolvedCallGraph",
     "Rule",
     "Severity",
     "SourceFile",

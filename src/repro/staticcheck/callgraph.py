@@ -1,19 +1,19 @@
-"""Call graphs over the analyzed package: name-based and resolved.
+"""The call graph over the analyzed package.
 
-:class:`CallGraph` is deliberately modest: calls resolve through
-per-module import maps, ``self.<method>()`` within a class, and locals
-constructed from a statically known class (``v = ClassName(...);
-v.m()``).  Attribute calls on values the pass cannot type are ignored —
-under-approximation keeps the reachability-scoped rules free of
-avalanche false positives.
+:class:`CallGraph` resolves calls through per-module import maps
+(aliased imports included), ``self.<method>()`` within a class,
+``self.<attr>.<method>()`` where any method of the class assigns or
+annotates ``self.<attr>`` with a known class, locals constructed from a
+statically known class (``v = ClassName(...); v.m()``), and locals or
+parameters annotated with one.  Attribute calls on values the pass
+cannot type are ignored — under-approximation keeps the
+reachability-scoped rules free of avalanche false positives.
 
-:class:`ResolvedCallGraph` extends it for the flow-sensitive AS/SH/RS
-families: it additionally types ``self.<attr>`` from ``__init__``-style
-assignments, locals and parameters from annotations, records every call
-*site* (with its enclosing-``await`` context and line), and knows which
-functions are coroutines.  Its extra edges also flow into
-:attr:`FunctionInfo.calls`, so reachability consumers (DT301) see the
-sharper graph for free.
+Besides the edges (:attr:`FunctionInfo.calls`, which DT301's
+reachability walks) it keeps every call *site* with its
+enclosing-``await`` context and line, a reverse ``callers`` map, and
+which functions are coroutines, for the flow-sensitive AS/SH/RS
+families.
 """
 
 from __future__ import annotations
@@ -91,8 +91,42 @@ def _function_bodies(node: ast.AST) -> Iterable[ast.AST]:
         yield child
 
 
+@dataclass
+class CallSite:
+    """One call expression inside a function body, with its resolution."""
+
+    node: ast.Call
+    lineno: int
+    awaited: bool                  # directly wrapped in ``await ...``
+    dotted: Optional[str]          # canonical dotted target ("time.sleep")
+    attr: Optional[str]            # terminal name ("sleep" / "claim" / "f")
+    callees: Tuple[str, ...] = ()  # resolved in-package qualnames
+
+
+def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
+    """The dotted name of a plain annotation (strings and Optional[...] too)."""
+    if node is None:
+        return None
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(node, ast.Subscript):
+        # Optional[Cls] / "Claim | None" style wrappers: look inside
+        inner = node.slice
+        if isinstance(inner, ast.Index):       # pragma: no cover (py<3.9)
+            inner = inner.value
+        if isinstance(inner, ast.Tuple) and inner.elts:
+            inner = inner.elts[0]
+        return _annotation_name(inner)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _annotation_name(node.left)
+    return call_name(node)
+
+
 class CallGraph:
-    """Function index + resolved call edges for a set of source files."""
+    """Function index, typed receivers, call sites and resolved edges."""
 
     def __init__(self, files: Sequence[SourceFile]) -> None:
         self.files = list(files)
@@ -102,8 +136,18 @@ class CallGraph:
         self._module_funcs: Dict[str, Dict[str, str]] = {}
         #: canonical class path ("pkg.mod.Class") -> {method -> qualname}
         self._class_methods: Dict[str, Dict[str, str]] = {}
+        #: canonical class path -> {attr name -> canonical class path}
+        self.self_attr_types: Dict[str, Dict[str, str]] = {}
+        #: qualname -> ordered call sites in that function body
+        self.sites: Dict[str, List[CallSite]] = {}
         self._index()
-        self._link()
+        self._infer_self_attrs()
+        self._resolve_sites()
+        #: reverse adjacency over the resolved edges
+        self.callers: Dict[str, Set[str]] = {}
+        for qual, info in self.functions.items():
+            for callee in info.calls:
+                self.callers.setdefault(callee, set()).add(qual)
 
     # -- indexing --------------------------------------------------------
 
@@ -175,120 +219,6 @@ class CallGraph:
                     if local in self._class_methods:
                         types[node.targets[0].id] = local
         return types
-
-    def _link(self) -> None:
-        for info in self.functions.values():
-            imports = self.imports.get(info.module, {})
-            instance_types = self._local_instance_types(info)
-            for node in _function_bodies(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                # self.<method>() within the defining class
-                if (isinstance(func, ast.Attribute)
-                        and isinstance(func.value, ast.Name)):
-                    receiver = func.value.id
-                    if receiver == "self" and info.cls is not None:
-                        methods = self._class_methods.get(
-                            f"{info.module}.{info.cls}", {})
-                        if func.attr in methods:
-                            info.calls.add(methods[func.attr])
-                            continue
-                    if receiver in instance_types:
-                        methods = self._class_methods.get(
-                            instance_types[receiver], {})
-                        if func.attr in methods:
-                            info.calls.add(methods[func.attr])
-                            continue
-                for qual in self._resolve_target(
-                        canonical(func, imports), info.module):
-                    info.calls.add(qual)
-
-    # -- reachability ----------------------------------------------------
-
-    def reachable(self, seeds: Iterable[str],
-                  skip_module=None) -> Set[str]:
-        """Qualnames reachable from ``seeds`` (BFS over resolved edges).
-
-        ``skip_module(module) -> bool`` prunes whole modules from the
-        traversal (DT301 prunes the harness: its orchestration
-        timestamps are run metadata, outside payload and cache key).
-        """
-        work = [s for s in seeds if s in self.functions]
-        seen: Set[str] = set()
-        while work:
-            qual = work.pop()
-            if qual in seen:
-                continue
-            info = self.functions.get(qual)
-            if info is None:
-                continue
-            if skip_module is not None and skip_module(info.module):
-                continue
-            seen.add(qual)
-            work.extend(info.calls - seen)
-        return seen
-
-
-@dataclass
-class CallSite:
-    """One call expression inside a function body, with its resolution."""
-
-    node: ast.Call
-    lineno: int
-    awaited: bool                  # directly wrapped in ``await ...``
-    dotted: Optional[str]          # canonical dotted target ("time.sleep")
-    attr: Optional[str]            # terminal name ("sleep" / "claim" / "f")
-    callees: Tuple[str, ...] = ()  # resolved in-package qualnames
-
-
-def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
-    """The dotted name of a plain annotation (strings and Optional[...] too)."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if isinstance(node, ast.Subscript):
-        # Optional[Cls] / "Claim | None" style wrappers: look inside
-        inner = node.slice
-        if isinstance(inner, ast.Index):       # pragma: no cover (py<3.9)
-            inner = inner.value
-        if isinstance(inner, ast.Tuple) and inner.elts:
-            inner = inner.elts[0]
-        return _annotation_name(inner)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
-        return _annotation_name(node.left)
-    return call_name(node)
-
-
-class ResolvedCallGraph(CallGraph):
-    """Call graph with typed receivers, call sites and coroutine flags.
-
-    On top of the base resolution this pass types three more receiver
-    shapes — ``self.<attr>`` assigned a known class in any method of the
-    same class, locals/parameters annotated with a known class, and
-    ``cls.<attr>`` style module aliases — and keeps per-function
-    :class:`CallSite` records so the async-soundness checks can tell a
-    direct blocking call from a transitive one and an awaited coroutine
-    from a dropped one.
-    """
-
-    def __init__(self, files: Sequence[SourceFile]) -> None:
-        #: canonical class path -> {attr name -> canonical class path}
-        self.self_attr_types: Dict[str, Dict[str, str]] = {}
-        #: qualname -> ordered call sites in that function body
-        self.sites: Dict[str, List[CallSite]] = {}
-        super().__init__(files)
-        self._infer_self_attrs()
-        self._resolve_sites()
-        #: reverse adjacency over the (sharpened) edges
-        self.callers: Dict[str, Set[str]] = {}
-        for qual, info in self.functions.items():
-            for callee in info.calls:
-                self.callers.setdefault(callee, set()).add(qual)
 
     # -- typing ----------------------------------------------------------
 
@@ -438,3 +368,28 @@ class ResolvedCallGraph(CallGraph):
                     callees=tuple(sorted(callees))))
             sites.sort(key=lambda s: (s.lineno, s.node.col_offset))
             self.sites[qual] = sites
+
+    # -- reachability ----------------------------------------------------
+
+    def reachable(self, seeds: Iterable[str],
+                  skip_module=None) -> Set[str]:
+        """Qualnames reachable from ``seeds`` (BFS over resolved edges).
+
+        ``skip_module(module) -> bool`` prunes whole modules from the
+        traversal (DT301 prunes the harness: its orchestration
+        timestamps are run metadata, outside payload and cache key).
+        """
+        work = [s for s in seeds if s in self.functions]
+        seen: Set[str] = set()
+        while work:
+            qual = work.pop()
+            if qual in seen:
+                continue
+            info = self.functions.get(qual)
+            if info is None:
+                continue
+            if skip_module is not None and skip_module(info.module):
+                continue
+            seen.add(qual)
+            work.extend(info.calls - seen)
+        return seen

@@ -7,7 +7,7 @@ one event loop, so a single blocking primitive anywhere under a
 coroutine stalls *all* sessions at once — the exact failure mode the
 soak drill provokes dynamically.  AS101 proves its absence statically:
 direct blocking calls in a coroutine body, plus transitive ones found by
-walking the resolved call graph through synchronous callees (awaited
+walking the call graph through synchronous callees (awaited
 coroutine callees are skipped — they are analyzed on their own), with
 the offending call chain spelled out in the message.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.staticcheck.callgraph import ResolvedCallGraph, canonical
+from repro.staticcheck.callgraph import CallGraph, canonical
 from repro.staticcheck.checks_forksafety import _LOCK_CONSTRUCTORS
 from repro.staticcheck.ir import local_walk
 from repro.staticcheck.model import Finding, SourceFile
@@ -56,7 +56,7 @@ _DISK_MODULES = {"repro.harness.store", "repro.harness.queue"}
 _SPAWNERS = {"create_task", "ensure_future"}
 
 
-def _blocking_sites(graph: ResolvedCallGraph,
+def _blocking_sites(graph: CallGraph,
                     qual: str) -> List[Tuple[int, str, str]]:
     """(line, what, why) for direct blocking calls in one function body."""
     info = graph.functions[qual]
@@ -77,7 +77,7 @@ def _blocking_sites(graph: ResolvedCallGraph,
     return sites
 
 
-def _blocking_chain(graph: ResolvedCallGraph, qual: str,
+def _blocking_chain(graph: CallGraph, qual: str,
                     memo: Dict[str, Optional[List[str]]],
                     ) -> Optional[List[str]]:
     """A call chain from sync function ``qual`` down to a blocking
@@ -107,7 +107,7 @@ def _blocking_chain(graph: ResolvedCallGraph, qual: str,
     return None
 
 
-def _check_blocking(graph: ResolvedCallGraph,
+def _check_blocking(graph: CallGraph,
                     by_module: Dict[str, SourceFile]) -> List[Finding]:
     findings: List[Finding] = []
     memo: Dict[str, Optional[List[str]]] = {}
@@ -154,7 +154,7 @@ def _name_loads(root: ast.AST) -> Dict[str, int]:
     return loads
 
 
-def _check_dropped(graph: ResolvedCallGraph,
+def _check_dropped(graph: CallGraph,
                    by_module: Dict[str, SourceFile]) -> List[Finding]:
     """AS102 (unawaited coroutine) + AS103 (dropped task handle).
 
@@ -208,7 +208,7 @@ def _check_dropped(graph: ResolvedCallGraph,
     return findings
 
 
-def _check_lock_across_await(graph: ResolvedCallGraph,
+def _check_lock_across_await(graph: CallGraph,
                              by_module: Dict[str, SourceFile]
                              ) -> List[Finding]:
     findings: List[Finding] = []
@@ -263,8 +263,8 @@ def _check_lock_across_await(graph: ResolvedCallGraph,
 
 
 def check_graph(files: Sequence[SourceFile],
-                graph: ResolvedCallGraph) -> List[Finding]:
-    """The AS1xx family over a resolved call graph."""
+                graph: CallGraph) -> List[Finding]:
+    """The AS1xx family over the call graph."""
     by_module = {source.module: source for source in files}
     return (_check_blocking(graph, by_module)
             + _check_dropped(graph, by_module)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.staticcheck.callgraph import ResolvedCallGraph, canonical, \
+from repro.staticcheck.callgraph import CallGraph, canonical, \
     collect_imports
 from repro.staticcheck.checks_forksafety import _MUTABLE_CONSTRUCTORS, \
     _MUTATORS
@@ -155,7 +155,7 @@ def _check_fork_targets(source: SourceFile,
 
 # -- SH202 ---------------------------------------------------------------
 
-def _spawned_coroutines(graph: ResolvedCallGraph) -> Set[str]:
+def _spawned_coroutines(graph: CallGraph) -> Set[str]:
     """Async qualnames passed (as direct calls) to task wrappers."""
     spawned: Set[str] = set()
     for qual, sites in graph.sites.items():
@@ -209,7 +209,7 @@ def _stmt_self_access(stmt: ast.stmt
 
 
 def _check_task_races(files: Sequence[SourceFile],
-                      graph: ResolvedCallGraph) -> List[Finding]:
+                      graph: CallGraph) -> List[Finding]:
     by_module = {source.module: source for source in files}
     findings: List[Finding] = []
     for qual in sorted(_spawned_coroutines(graph)):
@@ -267,6 +267,6 @@ def check_file(source: SourceFile) -> List[Finding]:
 
 
 def check_graph(files: Sequence[SourceFile],
-                graph: ResolvedCallGraph) -> List[Finding]:
+                graph: CallGraph) -> List[Finding]:
     """The graph-scoped SH rule (SH202)."""
     return _check_task_races(files, graph)

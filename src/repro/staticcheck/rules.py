@@ -9,10 +9,10 @@ registry is what the CLI's ``--rule`` filter, the pragma parser and the
 JSON report key off, so IDs are append-only: retiring a rule leaves its
 ID reserved.
 
-``REGISTRY_VERSION`` participates in the ``ext_staticcheck`` artefact's
-store config descriptor — bump it whenever a rule is added, removed, or
-its detection logic changes enough to alter findings, so cached
-staticcheck cells invalidate with the rule set.
+``REGISTRY_VERSION`` is echoed in the ``--json`` report — bump it
+whenever a rule is added, removed, or its detection logic changes
+enough to alter findings, so a consumer comparing two reports can tell
+whether they came from the same rule set.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """A fault-injecting artefact module for the harness tests.
 
 Registered under the name ``boom`` by ``tests/test_harness.py``; exposes
-the same ``run``/``run_one``/``render`` interface as the real experiment
-modules but fails on demand: the ``go`` cell raises, the ``m88`` cell
+the harness interface (``run``/``render`` plus a per-cell ``run_one``)
+but fails on demand: the ``go`` cell raises, the ``m88`` cell
 hard-exits its worker process (simulating a crash), the ``gcc`` cell
 ignores SIGTERM and hangs (an unkillable-without-SIGKILL worker), the
 ``per`` cell sleeps for a long time *without* masking signals (a slow

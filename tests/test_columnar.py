@@ -8,13 +8,18 @@ per-instruction reference classes, and the backend registry (lookup,
 validation, the graceful numpy-missing error).
 """
 
+import os
 import random
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+import repro
 from repro.chaos.oracle import _compare
 from repro.columnar.backend import (
     BackendUnavailableError,
@@ -39,7 +44,6 @@ from repro.columnar.kernels import (
     mru_hits_within,
     stack_distances,
 )
-from repro.core import CloakingConfig
 from repro.dependence.ddt import DDT, DDTConfig, DependenceKind
 from repro.dependence.locality import _MRUList
 from repro.isa.instructions import OpClass
@@ -271,12 +275,32 @@ class TestBackendRegistry:
             get_backend("numpy")
         assert not backend_available("numpy")
 
-    def test_cloaking_config_backend_field(self):
-        assert CloakingConfig().backend == "reference"
-        assert CloakingConfig(backend="numpy").backend == "numpy"
-        assert "backend='numpy'" in repr(CloakingConfig(backend="numpy"))
-        with pytest.raises(ValueError, match="unknown backend"):
-            CloakingConfig(backend="pandas")
+    def test_numpy_loads_only_for_the_numpy_backend(self):
+        """Starting the CLIs, the server or any summary artefact leaves
+        NumPy unloaded; asking for the numpy backend loads it."""
+        code = textwrap.dedent("""
+            import importlib
+            import sys
+
+            import repro
+            import repro.harness.__main__
+            import repro.serve.__main__
+            from repro.experiments import summary
+            from repro.harness.registry import get_artefact
+
+            for _, name, _ in summary.ARTEFACTS:
+                importlib.import_module(get_artefact(name).module)
+            assert "numpy" not in sys.modules, "numpy loaded at import"
+            from repro.columnar.backend import get_backend
+
+            get_backend("numpy")
+            assert "numpy" in sys.modules
+        """)
+        src = Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0, result.stderr
 
 
 # -- backend equivalence on real workloads -------------------------------

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import fig2, fig6, summary
 from repro.harness import (
     ARTEFACTS,
@@ -23,7 +27,9 @@ from repro.harness import (
 )
 from repro.harness.jobs import make_job
 from repro.harness.manifest import STATUS_COMPUTED, STATUS_FAILED, STATUS_HIT
+from repro.harness import store as store_module
 from repro.harness.store import rows_from_payload, rows_to_payload
+from repro.util.hashing import tree_fingerprint
 
 import tests.harness_helpers as helpers
 
@@ -47,6 +53,10 @@ class TestJobModel:
     def test_expand_jobs_validates_artefact(self):
         with pytest.raises(ValueError, match="unknown artefact"):
             expand_jobs("fig99", 0.5)
+
+    def test_key_is_cell_identity_only(self):
+        assert list(make_job("fig2", "li", 0.1).key_fields()) == [
+            "artefact", "workload", "scale", "params"]
 
     def test_key_changes_with_every_component(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -275,14 +285,29 @@ class TestCaching:
         assert manifest.fingerprint
 
     def test_config_change_invalidates_cache(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path)
+        """A paper configuration is a constant in fingerprinted source, so
+        editing it changes the code fingerprint and the cell recomputes."""
+        store = ResultStore(tmp_path / "store")
         rows_for("fig2", SCALE, ["li"], store=store)
         outcome = run_artefacts([("fig2", SCALE)], ["li"], store=store)
         assert outcome.manifest.hits == 1
 
-        changed = ArtefactSpec("fig2", "repro.experiments.fig2", "Figure 2",
-                               1.0, lambda: {"windows": {"8K": 8192}})
-        monkeypatch.setitem(ARTEFACTS, "fig2", changed)
+        tree = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert (tree_fingerprint(tree, exclude=("harness",))
+                == store_module.code_fingerprint())
+        source = tree / "experiments" / "fig2.py"
+        text = source.read_text(encoding="utf-8")
+        windows = 'WINDOWS = {"infinite": None, "4K": 4096}'
+        assert windows in text
+        source.write_text(
+            text.replace(windows, windows[:-1] + ', "8K": 8192}'),
+            encoding="utf-8")
+        edited = tree_fingerprint(tree, exclude=("harness",))
+        assert edited != store_module.code_fingerprint()
+
+        monkeypatch.setattr(store_module, "code_fingerprint", lambda: edited)
         outcome = run_artefacts([("fig2", SCALE)], ["li"], store=store)
         assert outcome.manifest.hits == 0
         assert outcome.manifest.computed == 1
@@ -388,6 +413,36 @@ class TestHangEscalation:
         assert [f.workload for f in failed] == [helpers.HANGING_WORKLOAD]
         assert "timed out" in failed[0].error
         assert [r.abbrev for r in outcome.rows("boom")] == ["li"]
+
+
+class TestMonotonicDurations:
+    def test_wall_clock_step_does_not_time_out_a_fork_job(self,
+                                                          monkeypatch):
+        """Durations and timeouts run on a monotonic clock: stepping the
+        wall clock an hour forward while a job runs must neither kill it
+        under ``timeout=30`` nor inflate its recorded wall time."""
+        import time
+
+        from repro.harness.jobs import set_injection_hook
+
+        monkeypatch.setitem(ARTEFACTS, "boom", BOOM)
+        real_time = time.time
+        stepped_at = real_time() + 0.3
+        monkeypatch.setattr(
+            time, "time",
+            lambda: real_time() + (3600.0 if real_time() > stepped_at
+                                   else 0.0))
+        previous = set_injection_hook(lambda spec: time.sleep(1.0))
+        try:
+            outcome = run_artefacts([("boom", 1.0)], ["li"], workers=1,
+                                    retries=0, timeout=30,
+                                    backend="fork", allow_failures=True)
+        finally:
+            set_injection_hook(previous)
+        [record] = outcome.manifest.jobs
+        assert record.status == STATUS_COMPUTED, record.error
+        assert record.wall_time < 30
+        assert outcome.manifest.wall_time < 30
 
 
 class TestRetryBackoff:
@@ -606,6 +661,13 @@ class TestRegistryHygiene:
 
         spec = get_artefact("ext_static_distance")
         assert spec.module == "repro.experiments.ext_static_distance"
-        descriptor = spec.config_descriptor()
-        assert descriptor["metric"] == "distance"
-        assert descriptor["ddt"] == "infinite"
+
+    def test_every_artefact_module_is_fingerprinted(self):
+        """The store key is the cell identity plus a code fingerprint that
+        skips ``repro/harness``, so an artefact module (and the
+        configuration constants it bakes in) must live outside it."""
+        package = Path(repro.__file__).resolve().parent
+        for spec in ARTEFACTS.values():
+            module = importlib.import_module(spec.module)
+            relative = Path(module.__file__).resolve().relative_to(package)
+            assert relative.parts[0] != "harness", spec.name

@@ -584,14 +584,10 @@ class TestSoakDrill:
 
 
 class TestServeArtefact:
-    def test_registered_with_config_descriptor(self):
+    def test_registered_outside_the_summary(self):
         spec = ARTEFACTS["ext_serve_soak"]
         assert spec.module == "repro.serve.artefact"
         assert spec.summary_multiplier is None  # not a paper-summary row
-        config = spec.config_descriptor()
-        assert json.dumps(config)
-        assert config["proto"] == PROTO_VERSION
-        assert set(config["degraded_reasons"]) == set(DEGRADED_REASONS)
 
     def test_rows_survive_the_store_payload_roundtrip(self, soak_row):
         rows = rows_from_payload(rows_to_payload([soak_row]))

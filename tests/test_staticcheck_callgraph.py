@@ -1,4 +1,4 @@
-"""Tests for ResolvedCallGraph: aliased imports, ``self.method`` and
+"""Tests for CallGraph: aliased imports, ``self.method`` and
 typed-receiver resolution, call-site records and coroutine flags.
 
 The fixture is a two-module package written into ``tmp_path`` so module
@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from repro.staticcheck.callgraph import ResolvedCallGraph
+from repro.staticcheck.callgraph import CallGraph
 from repro.staticcheck.model import SourceFile
 
 ENGINE = """\
@@ -64,7 +64,7 @@ def graph(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
         sources.append(SourceFile.load(path, tmp_path))
-    return ResolvedCallGraph(sources)
+    return CallGraph(sources)
 
 
 def test_aliased_class_import_types_a_constructed_local(graph):

@@ -2,8 +2,8 @@
 
 Pins the exit-status contract (0 clean / 1 findings / 2 usage), the
 ``--json -`` stream separation (JSON alone on stdout, human lines on
-stderr), strict mode, baseline round-trips including stale-entry
-failure, and the harness-facing ``ext_staticcheck`` artefact rows.
+stderr), strict mode, and baseline round-trips including stale-entry
+failure.
 """
 
 import json
@@ -122,17 +122,3 @@ def test_repo_tree_is_clean_in_strict_mode(capsys):
     """The shipped tree passes its own gate with no baseline help."""
     assert main(["--no-baseline", "--strict"]) == 0
     assert "clean" in capsys.readouterr().out
-
-
-def test_ext_staticcheck_artefact_rows():
-    from repro.harness.jobs import expand_jobs
-    from repro.staticcheck.artefact import run_one, scopes
-
-    cells = expand_jobs("ext_staticcheck", 1.0)
-    assert [job.workload for job in cells] == scopes()
-    assert "harness" in scopes() and "toplevel" in scopes()
-
-    rows = run_one("staticcheck", 1.0)
-    assert len(rows) == 1 and rows[0].scope == "staticcheck"
-    assert rows[0].errors == 0
-    assert rows[0].files > 0
