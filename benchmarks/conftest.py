@@ -4,7 +4,7 @@ Every paper table/figure has one benchmark here; each runs its experiment
 harness at ``BENCH_SCALE`` (a reduced workload size so the whole suite
 finishes in minutes) and attaches the rendered paper-style table to the
 benchmark's ``extra_info``.  Regenerate any artefact at full size with
-``python -m repro.experiments.<name> --scale 1.0``.
+``python -m repro <name> --scale 1.0``.
 """
 
 import pytest

@@ -1,7 +1,7 @@
 """Benchmark: regenerate Figure 9 (speedup with naive memory dependence
 speculation) on a representative subset of the suite.
 
-The full-suite, full-size version is ``python -m repro.experiments.fig9``.
+The full-suite, full-size version is ``python -m repro fig9``.
 """
 
 from benchmarks.conftest import SUBSET, TIMING_SCALE

@@ -3,81 +3,69 @@
 ``python -m repro list`` shows the available artefacts;
 ``python -m repro fig6 --scale 0.5`` runs one;
 ``python -m repro all --scale 0.2`` runs the full evaluation.
+
+An artefact runs through the harness's ``run`` path
+(``python -m repro.harness run``) with inline defaults: no worker
+processes, and no result store unless ``--store`` names one.
 """
 
 from __future__ import annotations
 
 import sys
 
-_ARTEFACTS = {
-    "table51": "Table 5.1  - benchmark execution characteristics",
-    "fig2": "Figure 2   - RAR memory dependence locality",
-    "fig5": "Figure 5   - dependence visibility vs DDT size",
-    "fig6": "Figure 6   - cloaking coverage and misspeculation",
-    "fig7": "Figure 7   - address/value locality breakdowns",
-    "table52": "Table 5.2  - cloaking vs load value prediction",
-    "fig9": "Figure 9   - speedups (naive memory dep. speculation)",
-    "fig10": "Figure 10  - speedups (no memory dep. speculation)",
-    "ext_hybrid": "Extension  - hybrid cloaking + value prediction",
-    "ext_distance": "Extension  - dependence distance distributions",
-    "ext_predictors": "Extension  - last-value vs stride vs cloaking",
-    "ext_static_ddt": "Extension  - static pair sets vs the dynamic DDT",
-    "ext_static_distance": "Extension  - static distance bounds vs dynamic",
+#: sub-packages with their own command line, reachable as
+#: ``python -m repro <name> ...``
+_PACKAGES = ("analysis", "chaos", "staticcheck")
+
+_COMPOSITES = {
     "report_card": "grades the DESIGN.md shape criteria (PASS/FAIL)",
     "summary": "everything - the full evaluation in one report",
 }
 
 
+def _print_list() -> None:
+    from repro.harness.registry import ARTEFACTS
+
+    print("usage: python -m repro <artefact> [--scale S] "
+          "[--workloads AB ...]")
+    print("\nartefacts:")
+    for spec in ARTEFACTS.values():
+        if spec.name not in _PACKAGES:
+            print(f"  {spec.name:<19} {spec.title}")
+    for name, blurb in _COMPOSITES.items():
+        print(f"  {name:<19} {blurb}")
+    print("\n'all' is an alias for 'summary'.")
+    print("'python -m repro <artefact> --help' shows the run options.")
+    print("parallel sweeps + result cache: add --workers N --store DIR "
+          "(the defaults of python -m repro.harness run)")
+    print("static kernel verification: "
+          "python -m repro analysis suite --strict "
+          "(alias of python -m repro.analysis)")
+    print("fault injection + invariant oracle: "
+          "python -m repro chaos --campaign smoke "
+          "(alias of python -m repro.chaos)")
+    print("whole-repo invariant lint: "
+          "python -m repro staticcheck --strict "
+          "(alias of python -m repro.staticcheck)")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help", "list"):
-        print("usage: python -m repro <artefact> [--scale S] "
-              "[--workloads AB ...]")
-        print("\nartefacts:")
-        for name, blurb in _ARTEFACTS.items():
-            print(f"  {name:<11} {blurb}")
-        print("\n'all' is an alias for 'summary'.")
-        print("'python -m repro <artefact> --help' shows that artefact's "
-              "own options.")
-        print("parallel sweeps + result cache: "
-              "python -m repro.harness run <artefact> --workers N")
-        print("static kernel verification: "
-              "python -m repro analysis suite --strict "
-              "(alias of python -m repro.analysis)")
-        print("fault injection + invariant oracle: "
-              "python -m repro chaos --campaign smoke "
-              "(alias of python -m repro.chaos)")
-        print("whole-repo invariant lint: "
-              "python -m repro staticcheck --strict "
-              "(alias of python -m repro.staticcheck)")
+        _print_list()
         return 0
-    name = argv.pop(0)
-    if name == "all":
-        name = "summary"
-    if name in ("analysis", "chaos", "staticcheck"):
+    if argv[0] in _PACKAGES:
+        name = argv.pop(0)
         if name == "analysis":
             from repro.analysis.__main__ import main as sub_main
-        elif name == "staticcheck":
-            from repro.staticcheck.__main__ import main as sub_main
-        else:
+        elif name == "chaos":
             from repro.chaos.__main__ import main as sub_main
-
-        try:
-            return sub_main(argv)
-        except SystemExit as exc:
-            code = exc.code
-            if code is None:
-                return 0
-            return code if isinstance(code, int) else 2
-    if name not in _ARTEFACTS:
-        print(f"unknown artefact {name!r}; try 'python -m repro list'",
-              file=sys.stderr)
-        return 2
-    from repro.harness.jobs import load_experiment_module
-
-    module = load_experiment_module(f"repro.experiments.{name}")
+        else:
+            from repro.staticcheck.__main__ import main as sub_main
+    else:
+        from repro.harness.__main__ import run_main as sub_main
     try:
-        status = module.main(argv)
+        return sub_main(argv)
     except SystemExit as exc:
         # argparse exits for ``--help`` (code 0) and bad options (code 2);
         # surface its status instead of letting the exception escape.
@@ -85,11 +73,6 @@ def main(argv=None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    except ValueError as exc:
-        # e.g. an unknown/duplicate --workloads abbreviation
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return int(status) if status is not None else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.verifier import analyze_program
 from repro.experiments.report import format_table
-from repro.experiments.runner import experiment_parser, maybe_write_json, select_workloads
+from repro.experiments.runner import select_workloads
 
 
 @dataclass
@@ -70,17 +70,3 @@ def render(rows: List[AnalysisRow]) -> str:
     for row in rows:
         lines.extend(f"  {row.abbrev}: {text}" for text in row.diagnostics)
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-    return 1 if any(row.errors for row in rows) else 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -17,8 +17,7 @@ from repro.chaos.campaign import (
     run_kernel_campaign,
 )
 from repro.experiments.report import format_table
-from repro.experiments.runner import (
-    experiment_parser, maybe_write_json, select_workloads)
+from repro.experiments.runner import select_workloads
 
 
 def run(scale: float = 1.0,
@@ -52,21 +51,3 @@ def render(rows: List[ChaosRow]) -> str:
                  + ("" if total_viol else
                     " (committed state never diverged)"))
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = experiment_parser(__doc__)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--injections", type=int, default=3)
-    args = parser.parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads,
-               seed=args.seed, injections=args.injections)
-    maybe_write_json(args, rows)
-    print(render(rows))
-    return 1 if any(row.violated for row in rows) else 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

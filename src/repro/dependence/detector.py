@@ -10,9 +10,9 @@ generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
-from repro.dependence.ddt import DDT, DDTConfig, Dependence, DependenceKind
+from repro.dependence.ddt import DDT, DDTConfig, DependenceKind
 from repro.trace.records import DynInst
 
 
@@ -73,19 +73,3 @@ class DependenceProfiler:
         for inst in trace:
             self.observe(inst)
         return self.profiles
-
-
-def classify_loads(
-    trace: Iterable[DynInst], config: DDTConfig = DDTConfig()
-) -> Iterable[Optional[Dependence]]:
-    """Yield, for every instruction, the dependence its load detects.
-
-    Non-load instructions yield nothing; stores update the DDT.  A helper
-    for analyses that need the per-load classification rather than counts.
-    """
-    ddt = DDT(config)
-    for inst in trace:
-        if inst.is_load:
-            yield ddt.observe_load(inst.pc, inst.word_addr)
-        elif inst.is_store:
-            ddt.observe_store(inst.pc, inst.word_addr)

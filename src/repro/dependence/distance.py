@@ -88,11 +88,6 @@ class RecencyRanker:
         return self._live - self._prefix(min(timestamp, self._size))
 
 
-#: Backward-compatible private alias (the ranker predates its public use
-#: by ``repro.experiments.ext_static_distance``).
-_RecencyRanker = RecencyRanker
-
-
 @dataclass
 class DistanceHistogram:
     """Power-of-two bucketed distance counts."""

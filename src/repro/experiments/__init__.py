@@ -1,7 +1,7 @@
 """Experiment harnesses reproducing every table and figure of the paper.
 
 One module per evaluation artefact, each runnable as
-``python -m repro.experiments.<name> [--scale S]``:
+``python -m repro <name> [--scale S]``:
 
 =============  =======================================================
 Module         Paper artefact
@@ -22,8 +22,8 @@ optional workload subset, and return plain data structures so tests and
 benchmarks can assert on them.
 """
 
-# Submodules are imported lazily (``import repro.experiments.fig9``) so that
-# ``python -m repro.experiments.<name>`` does not double-import the target.
+# Submodules are imported lazily (``import repro.experiments.fig9``), so
+# importing the package loads no experiment.
 __all__ = [
     "table51", "fig2", "fig5", "fig6", "fig7", "table52", "fig9", "fig10",
 ]

@@ -14,11 +14,7 @@ from typing import List, Optional, Sequence
 
 from repro.dependence.distance import DependenceDistanceAnalysis
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 
 LIMITS = (32, 128, 512, 2048)
 
@@ -74,14 +70,3 @@ def render(rows: List[DistanceRow]) -> str:
         title=("Extension: dependence distances (fraction within N unique "
                "addresses) and the RAR-rescued load population"),
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-
-
-if __name__ == "__main__":
-    main()

@@ -15,11 +15,7 @@ from typing import List, Optional, Sequence
 
 from repro.core import CloakingConfig, CloakingEngine
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 from repro.predictors.hybrid import HybridLoadPredictor
 from repro.predictors.value_prediction import LastValuePredictor
 
@@ -76,14 +72,3 @@ def render(rows: List[HybridRow]) -> str:
         title=("Extension: hybrid cloaking + value prediction "
                "(cloaking first, confidence-gated VP fallback)"),
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-
-
-if __name__ == "__main__":
-    main()

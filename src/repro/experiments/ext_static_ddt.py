@@ -27,11 +27,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from repro.analysis import analyze_program
 from repro.dependence.ddt import DDT, DDTConfig, DependenceKind
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 
 #: Maximum uncovered pairs echoed into a row (diagnostic breadcrumb).
 MISS_LIMIT = 8
@@ -132,14 +128,3 @@ def render(rows: List[StaticDDTRow]) -> str:
                 pairs = ", ".join(f"({a:#x}->{b:#x})" for a, b in missing)
                 lines.append(f"  {row.abbrev}: uncovered {kind}: {pairs}")
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-
-
-if __name__ == "__main__":
-    main()

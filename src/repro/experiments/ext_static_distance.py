@@ -29,7 +29,6 @@ turns red, and the CLI exits 1.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -37,11 +36,7 @@ from repro.analysis import analyze_program
 from repro.dependence.ddt import DDT, DDTConfig, DependenceKind
 from repro.dependence.distance import RecencyRanker
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 
 #: Maximum violation records echoed into a row (the count is exact).
 VIOLATION_LIMIT = 5
@@ -259,15 +254,3 @@ def render(rows: List[StaticDistanceRow]) -> str:
         for violation in row.violations:
             lines.append(f"  {row.abbrev}: VIOLATION {violation}")
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-    return 1 if any(row.violation_count for row in rows) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

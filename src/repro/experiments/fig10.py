@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 
 from repro.experiments import fig9
 from repro.experiments.report import format_table, signed_pct
-from repro.experiments.runner import experiment_parser, maybe_write_json
 from repro.pipeline import ProcessorConfig
 from repro.pipeline.recovery import RecoveryPolicy
 from repro.core import CloakingMode
@@ -60,14 +59,3 @@ def render(rows: List["fig9.SpeedupRow"]) -> str:
                 )
     lines.append("paper: RAW+RAR +9.8% INT / +6.1% FP")
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-
-
-if __name__ == "__main__":
-    main()

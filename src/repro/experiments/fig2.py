@@ -12,11 +12,7 @@ from typing import List, Optional, Sequence
 
 from repro.columnar.backend import DEFAULT_BACKEND, get_backend
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 
 WINDOWS = {"infinite": None, "4K": 4096}
 
@@ -77,18 +73,3 @@ def render_chart(rows: List[LocalityRow]) -> str:
          ("loc(4)", [r.locality[3] for r in infinite])],
         title="Figure 2(a): RAR dependence locality, infinite window",
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__, backends=True).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads,
-               backend=args.backend)
-    maybe_write_json(args, rows)
-    print(render(rows))
-    if args.chart:
-        print()
-        print(render_chart(rows))
-
-
-if __name__ == "__main__":
-    main()

@@ -14,11 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.backend import DEFAULT_BACKEND, get_backend
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 
 DDT_SIZES: Tuple[int, ...] = (32, 64, 128, 256, 512, 1024, 2048)
 
@@ -85,18 +81,3 @@ def render_chart(rows: List[SweepRow], ddt_size: int = 128) -> str:
          ("RAR", [r.rar_fraction for r in at_size])],
         title=f"Figure 5 (DDT {ddt_size}): loads with visible dependences",
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__, backends=True).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads,
-               backend=args.backend)
-    maybe_write_json(args, rows)
-    print(render(rows))
-    if args.chart:
-        print()
-        print(render_chart(rows))
-
-
-if __name__ == "__main__":
-    main()

@@ -16,12 +16,7 @@ from typing import List, Optional, Sequence
 
 from repro.core import CloakingConfig, CloakingEngine
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    class_means,
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import class_means, select_workloads
 from repro.predictors.confidence import ConfidenceKind
 
 
@@ -118,17 +113,3 @@ def render_chart(rows: List[AccuracyRow]) -> str:
          ("tot", [r.coverage for r in adaptive])],
         title="Figure 6(a): cloaking coverage (2-bit adaptive)",
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-    if args.chart:
-        print()
-        print(render_chart(rows))
-
-
-if __name__ == "__main__":
-    main()

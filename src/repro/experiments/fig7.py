@@ -17,11 +17,7 @@ from typing import List, Optional, Sequence
 from repro.columnar.backend import DEFAULT_BACKEND, get_backend
 from repro.core import CloakingConfig, CloakingEngine
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 
 
 @dataclass
@@ -100,15 +96,3 @@ def render(rows: List[LocalityBreakdownRow]) -> str:
         value_rows, title="Figure 7(b): value locality breakdown",
     )
     return part_a + "\n\n" + part_b
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__, backends=True).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads,
-               backend=args.backend)
-    maybe_write_json(args, rows)
-    print(render(rows))
-
-
-if __name__ == "__main__":
-    main()

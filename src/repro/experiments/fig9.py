@@ -17,11 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import CloakingConfig, CloakingMode
 from repro.experiments.report import format_table, signed_pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 from repro.pipeline import CloakedProcessor, Processor, ProcessorConfig, RecoveryPolicy
 from repro.trace.sampling import TIMING
 from repro.util.stats import harmonic_mean_speedup
@@ -127,14 +123,3 @@ def render(rows: List[SpeedupRow]) -> str:
     lines.append("paper (selective): RAW INT +4.28% FP +3.20%; "
                  "RAW+RAR INT +6.44% FP +4.66%")
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-
-
-if __name__ == "__main__":
-    main()

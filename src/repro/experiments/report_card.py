@@ -27,8 +27,7 @@ from typing import List, Optional, Sequence
 
 from repro.experiments import fig9
 from repro.experiments.report import format_table
-from repro.experiments.runner import experiment_parser
-from repro.harness.api import rows_for
+from repro.harness.api import SweepOutcome, run_artefacts
 from repro.predictors.confidence import ConfidenceKind
 from repro.util.stats import harmonic_mean_speedup
 
@@ -49,20 +48,36 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def requests(scale: float,
+             timing_scale: Optional[float] = None) -> List[tuple]:
+    """The six artefact requests the card grades, for one pooled
+    :func:`repro.harness.api.run_artefacts` pass; the timing figures run
+    at ``timing_scale`` (default ``scale / 2``)."""
+    timing_scale = timing_scale if timing_scale is not None else scale / 2
+    return [("fig6", scale), ("fig5", scale, {"sizes": (128,)}),
+            ("table52", scale), ("fig2", scale),
+            ("fig9", timing_scale), ("fig10", timing_scale)]
+
+
 def run(scale: float = 0.1, timing_scale: Optional[float] = None,
         workloads: Optional[Sequence[str]] = None,
         **harness_kwargs) -> List[Criterion]:
     """Measure every shape criterion; returns the graded list.
 
-    Experiment rows come through :func:`repro.harness.api.rows_for`, so
-    ``workers=N`` parallelizes each grid and ``store=ResultStore(...)``
-    makes repeated gradings incremental.
+    The experiment rows come from one harness pass, so ``workers=N``
+    parallelizes the whole grid and ``store=ResultStore(...)`` makes
+    repeated gradings incremental.
     """
-    timing_scale = timing_scale if timing_scale is not None else scale / 2
+    return grade(run_artefacts(requests(scale, timing_scale), workloads,
+                               **harness_kwargs))
+
+
+def grade(outcome: SweepOutcome) -> List[Criterion]:
+    """Grade every shape criterion over the rows of :func:`requests`."""
     criteria: List[Criterion] = []
 
     # --- accuracy-side experiments -------------------------------------
-    fig6_rows = rows_for("fig6", scale, workloads, **harness_kwargs)
+    fig6_rows = outcome.rows("fig6")
     adaptive = [r for r in fig6_rows
                 if r.confidence == ConfidenceKind.TWO_BIT.value]
     one_bit = [r for r in fig6_rows
@@ -75,8 +90,7 @@ def run(scale: float = 0.1, timing_scale: Optional[float] = None,
         int_rar > 0.05 and fp_rar > int_rar,
     ))
 
-    fig5_rows = rows_for("fig5", scale, workloads, {"sizes": (128,)},
-                         **harness_kwargs)
+    fig5_rows = outcome.rows("fig5")
     int_rows = [r for r in fig5_rows if r.category == "int"]
     fp_rows = [r for r in fig5_rows if r.category == "fp"]
     int_raw = _mean([r.raw_fraction for r in int_rows])
@@ -102,7 +116,7 @@ def run(scale: float = 0.1, timing_scale: Optional[float] = None,
         ratio >= 5 and cov_adaptive >= 0.8 * cov_one_bit,
     ))
 
-    table52_rows = rows_for("table52", scale, workloads, **harness_kwargs)
+    table52_rows = outcome.rows("table52")
     cloak_favoured = sum(1 for r in table52_rows
                          if r.cloak_only_total > r.frac(r.vp_only))
     criteria.append(Criterion(
@@ -111,8 +125,7 @@ def run(scale: float = 0.1, timing_scale: Optional[float] = None,
         cloak_favoured > len(table52_rows) / 2,
     ))
 
-    fig2_rows = [r for r in rows_for("fig2", scale, workloads,
-                                     **harness_kwargs)
+    fig2_rows = [r for r in outcome.rows("fig2")
                  if r.window == "infinite" and r.sink_loads]
     high_locality = sum(1 for r in fig2_rows if r.locality[3] > 0.7)
     criteria.append(Criterion(
@@ -122,7 +135,7 @@ def run(scale: float = 0.1, timing_scale: Optional[float] = None,
     ))
 
     # --- timing-side experiments ----------------------------------------
-    fig9_rows = rows_for("fig9", timing_scale, workloads, **harness_kwargs)
+    fig9_rows = outcome.rows("fig9")
     summary = fig9.summarize(fig9_rows)
     sel = summary["selective/RAW+RAR"]["ALL"]
     squ = summary["squash/RAW+RAR"]["ALL"]
@@ -138,8 +151,7 @@ def run(scale: float = 0.1, timing_scale: Optional[float] = None,
         sel >= sel_raw - 0.002,
     ))
 
-    fig10_rows = rows_for("fig10", timing_scale, workloads,
-                          **harness_kwargs)
+    fig10_rows = outcome.rows("fig10")
     int9 = summary["selective/RAW+RAR"].get("INT")
     int10_values = [r.speedups["RAW+RAR"] for r in fig10_rows
                     if r.category == "int"]
@@ -163,23 +175,3 @@ def render(criteria: List[Criterion]) -> str:
         title="Reproduction report card (DESIGN.md shape criteria)",
     )
     return f"{body}\n\n{passed}/{len(criteria)} criteria PASS"
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    parser = experiment_parser(__doc__)
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes per experiment grid (default: serial)",
-    )
-    args = parser.parse_args(argv)
-    criteria = run(scale=args.scale, workloads=args.workloads,
-                   workers=args.workers)
-    print(render(criteria))
-    if args.json:
-        from repro.harness.store import write_rows_json
-
-        write_rows_json(args.json, criteria)
-
-
-if __name__ == "__main__":
-    main()

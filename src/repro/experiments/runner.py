@@ -1,8 +1,7 @@
-"""Shared experiment plumbing: workload selection and argument parsing."""
+"""Shared experiment plumbing: workload selection and class means."""
 
 from __future__ import annotations
 
-import argparse
 from typing import List, Optional, Sequence
 
 from repro.workloads import all_workloads, get_workload
@@ -35,52 +34,6 @@ def select_workloads(names: Optional[Sequence[str]] = None) -> List[Workload]:
                 f"unknown workload abbreviation {name!r}; "
                 f"valid abbreviations: {valid}") from None
     return selected
-
-
-def experiment_parser(description: str,
-                      backends: bool = False) -> argparse.ArgumentParser:
-    """The common CLI for ``python -m repro.experiments.<name>``.
-
-    ``backends=True`` adds the ``--backend`` choice for the measurement
-    experiments that run behind the :mod:`repro.columnar` interface.
-    """
-    parser = argparse.ArgumentParser(description=description)
-    if backends:
-        from repro.columnar.backend import DEFAULT_BACKEND, backend_names
-
-        parser.add_argument(
-            "--backend", choices=backend_names(), default=DEFAULT_BACKEND,
-            help="simulation backend (default %(default)s; 'numpy' is the "
-                 "vectorized columnar fast path, validated against "
-                 "'reference' by the parity suite)",
-        )
-    parser.add_argument(
-        "--scale", type=float, default=DEFAULT_SCALE,
-        help="workload scale factor (1.0 = standard size, default %(default)s)",
-    )
-    parser.add_argument(
-        "--workloads", nargs="*", default=None, metavar="ABBREV",
-        help="subset of workload abbreviations (default: full suite)",
-    )
-    parser.add_argument(
-        "--chart", action="store_true",
-        help="render ASCII bar charts (where the experiment supports them)",
-    )
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="also write the computed rows as machine-readable JSON "
-             "(the same serialization the repro.harness result store uses)",
-    )
-    return parser
-
-
-def maybe_write_json(args, rows) -> None:
-    """Honour the shared ``--json PATH`` flag for a computed row list."""
-    path = getattr(args, "json", None)
-    if path:
-        from repro.harness.store import write_rows_json
-
-        write_rows_json(path, rows)
 
 
 def class_means(values_by_workload, workloads) -> tuple:

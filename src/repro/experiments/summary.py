@@ -1,25 +1,25 @@
-"""Run the complete evaluation and emit one combined report.
+"""The complete evaluation as one combined report.
 
-``python -m repro.experiments.summary --scale 0.2`` regenerates every
-table and figure (plus the hybrid extension) at the given scale and prints
-them in paper order, with the headline comparisons at the end.
+``python -m repro summary --scale 0.2`` regenerates every table and
+figure (plus the hybrid extension) at the given scale and prints them in
+paper order, with the headline comparisons at the end.
 
-Execution goes through :mod:`repro.harness`: the evaluation decomposes
-into per-(artefact, workload) jobs, so ``--workers N`` fans the grid out
-over worker processes while the default (``--workers 0``) runs the same
-jobs inline, serially — parallel and serial output agree by construction.
-``python -m repro.harness run summary`` adds the content-addressed result
-store on top, making reruns incremental.
+Execution goes through :mod:`repro.harness`: :func:`requests` names one
+pooled grid of per-(artefact, workload) jobs, so ``--workers N`` fans it
+out over worker processes while the default (``--workers 0``) runs the
+same jobs inline, serially — parallel and serial output agree by
+construction.  ``--store DIR`` (the default of ``python -m repro.harness
+run summary``) adds the content-addressed result store, making reruns
+incremental.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.experiments import fig9
 from repro.experiments.report import signed_pct
-from repro.experiments.runner import experiment_parser
-from repro.harness.api import SweepOutcome, run_artefacts
+from repro.harness.api import SweepOutcome
 from repro.harness.jobs import render_rows
 from repro.harness.registry import ARTEFACTS as _REGISTRY
 
@@ -33,12 +33,10 @@ ARTEFACTS = tuple(
 )
 
 
-def sweep(scale: float = 0.2, workloads: Optional[Sequence[str]] = None,
-          **harness_kwargs) -> SweepOutcome:
-    """Run every summary artefact through the harness (one pooled pass)."""
-    requests = [(name, scale * multiplier)
-                for _, name, multiplier in ARTEFACTS]
-    return run_artefacts(requests, workloads, **harness_kwargs)
+def requests(scale: float) -> List[tuple]:
+    """Every summary artefact's ``(name, scale)`` request, for one pooled
+    :func:`repro.harness.api.run_artefacts` pass."""
+    return [(name, scale * multiplier) for _, name, multiplier in ARTEFACTS]
 
 
 def compose_sections(outcome: SweepOutcome) -> List[str]:
@@ -53,15 +51,6 @@ def compose_sections(outcome: SweepOutcome) -> List[str]:
         if title == "Figure 9":
             sections.append(_headline(rows))
     return sections
-
-
-def run_all(scale: float = 0.2,
-            workloads: Optional[Sequence[str]] = None,
-            workers: int = 0, **harness_kwargs) -> List[str]:
-    """Run every artefact; returns the rendered sections."""
-    return compose_sections(
-        sweep(scale=scale, workloads=workloads, workers=workers,
-              **harness_kwargs))
 
 
 def _headline(fig9_rows) -> str:
@@ -81,28 +70,3 @@ def _headline(fig9_rows) -> str:
         f"  FP {fmt('selective/RAW+RAR', 'FP')}"
         "   (paper +6.44% / +4.66%)"
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    parser = experiment_parser(__doc__)
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes for the sweep (default: 0 = serial inline)",
-    )
-    args = parser.parse_args(argv)
-    sections = run_all(scale=args.scale, workloads=args.workloads,
-                       workers=args.workers)
-    for section in sections:
-        print(section)
-        print()
-    if args.json:
-        import json
-        from pathlib import Path
-
-        Path(args.json).write_text(
-            json.dumps({"sections": sections}, indent=2) + "\n",
-            encoding="utf-8")
-
-
-if __name__ == "__main__":
-    main()

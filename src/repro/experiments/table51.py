@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 from repro.trace.stats import collect_stats
 
 #: The paper's Table 5.1: (IC in millions, loads, stores, sampling ratio).
@@ -86,14 +82,3 @@ def render(rows: List[CharacteristicsRow]) -> str:
         table_rows,
         title="Table 5.1: Benchmark execution characteristics",
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-
-
-if __name__ == "__main__":
-    main()

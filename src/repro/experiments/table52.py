@@ -17,11 +17,7 @@ from typing import List, Optional, Sequence
 
 from repro.core import CloakingConfig, CloakingEngine, LoadOutcome
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import (
-    experiment_parser,
-    maybe_write_json,
-    select_workloads,
-)
+from repro.experiments.runner import select_workloads
 from repro.predictors.value_prediction import LastValuePredictor
 
 
@@ -88,14 +84,3 @@ def render(rows: List[OverlapRow]) -> str:
         title=("Table 5.2: loads correct via cloaking/bypassing but not via a "
                "last-value predictor, and vice versa"),
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    args = experiment_parser(__doc__).parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads)
-    maybe_write_json(args, rows)
-    print(render(rows))
-
-
-if __name__ == "__main__":
-    main()

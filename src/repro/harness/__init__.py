@@ -37,7 +37,7 @@ from repro.harness.scheduler import HarnessError, Scheduler
 from repro.harness.store import ResultStore, code_fingerprint, rows_to_payload
 from repro.harness.worker import WorkerStats, worker_loop
 
-from repro.harness.api import rows_for, run_artefacts
+from repro.harness.api import run_artefacts
 
 __all__ = [
     "ARTEFACTS",
@@ -59,7 +59,6 @@ __all__ = [
     "expand_jobs",
     "register",
     "retry_backoff_delay",
-    "rows_for",
     "rows_to_payload",
     "run_artefacts",
     "worker_loop",

@@ -8,12 +8,15 @@
     python -m repro.harness status
     python -m repro.harness clean
 
-``run`` prints the same sections as the serial ``python -m repro``
-equivalent (stdout is byte-identical across execution backends);
-orchestration chatter — per-cell progress and the manifest summary —
-goes to stderr.  ``--exec-backend`` picks *where* cells execute (inline /
-fork / worker); ``--backend`` still picks the *simulation* backend
-(reference / numpy) of backend-aware artefacts.
+``run`` is the one path that runs an artefact and prints its report;
+``python -m repro <artefact>`` is the same path with inline defaults (no
+worker processes, and no result store unless ``--store`` names one).
+Stdout is byte-identical across execution backends; orchestration
+chatter — per-cell progress and the manifest summary — goes to stderr.
+``--exec-backend`` picks *where* cells execute (inline / fork / worker);
+``--backend`` picks the *simulation* backend (reference / numpy) of
+backend-aware artefacts.  Exit status: 0 on success, 1 when a cell
+fails, 2 on a usage error.
 
 ``enqueue`` + ``worker`` are the distributed pieces: enqueue serializes
 a grid's cache-miss cells into a persistent queue directory, and any
@@ -25,28 +28,33 @@ worker --workers 0`` enqueues and waits for external workers only.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.harness.backends import BACKEND_NAMES
+from repro.harness.jobs import load_experiment_module
 from repro.harness.manifest import STATUS_HIT, JobRecord, RunManifest
-from repro.harness.registry import ARTEFACTS
-from repro.harness.store import ResultStore, code_fingerprint
+from repro.harness.registry import ARTEFACTS, get_artefact
+from repro.harness.store import (
+    DEFAULT_ROOT,
+    ResultStore,
+    code_fingerprint,
+    write_rows_json,
+)
 
 #: artefacts whose ``run`` accepts a ``backend`` parameter
 BACKEND_AWARE = frozenset({"fig2", "fig5", "fig7"})
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _run_arguments(run: argparse.ArgumentParser, inline: bool) -> None:
+    """Add the options of ``run`` to ``run``.
 
-    run = sub.add_parser(
-        "run", help="run an artefact (or 'summary'/'all') through the "
-                    "parallel harness")
+    ``inline`` gives ``python -m repro``'s defaults: the jobs run in this
+    process (``--workers 0``) and no result store is read or written
+    unless ``--store`` names one.
+    """
     run.add_argument("artefact",
                      help="one of: " + ", ".join(ARTEFACTS)
                           + ", report_card, summary, all")
@@ -66,17 +74,19 @@ def _parser() -> argparse.ArgumentParser:
                           "--workers 0, else fork); 'worker' drains a "
                           "persistent job queue with --workers local "
                           "workers plus any external ones")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: cpu count; "
-                          "0 = run inline)")
+    run.add_argument("--workers", type=int, default=0 if inline else None,
+                     help="worker processes (default: "
+                          + ("" if inline else "cpu count; ")
+                          + "0 = run inline)")
     run.add_argument("--timeout", type=float, default=None,
                      help="per-job timeout in seconds (default: none)")
     run.add_argument("--retries", type=int, default=1,
                      help="retries per failed/crashed/timed-out job "
                           "(default %(default)s)")
-    run.add_argument("--store", default=None, metavar="DIR",
-                     help="result store directory "
-                          "(default results/store)")
+    run.add_argument("--store", default=None if inline else str(DEFAULT_ROOT),
+                     metavar="DIR",
+                     help="result store directory (default "
+                          + ("none" if inline else str(DEFAULT_ROOT)) + ")")
     run.add_argument("--queue", default=None, metavar="DIR",
                      help="job queue directory for the worker backend "
                           "(default <store>/queue)")
@@ -90,6 +100,24 @@ def _parser() -> argparse.ArgumentParser:
                           "<store>/manifests/run-<id>.json)")
     run.add_argument("--quiet", action="store_true",
                      help="suppress per-cell progress on stderr")
+    run.add_argument("--chart", action="store_true",
+                     help="also render ASCII bar charts (fig2, fig5, fig6)")
+    run.add_argument("--json", default=None, metavar="PATH",
+                     help="also write the report as JSON: the rows in the "
+                          "store's serialization, or summary's sections")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    run = sub.add_parser(
+        "run", help="run an artefact (or 'summary'/'all') through the "
+                    "parallel harness")
+    _run_arguments(run, inline=False)
 
     enqueue = sub.add_parser(
         "enqueue", help="serialize a grid's cache-miss cells into a "
@@ -156,65 +184,86 @@ def _progress(quiet: bool):
 
 def _cmd_run(args) -> int:
     from repro.experiments.runner import DEFAULT_SCALE
+    from repro.harness.api import run_artefacts
 
-    store = ResultStore(args.store)
-    scale = DEFAULT_SCALE if args.scale is None else args.scale
-    kwargs = dict(
-        workers=args.workers if args.workers is not None else None,
-        store=store, use_cache=not args.no_cache, timeout=args.timeout,
-        retries=args.retries, manifest_path=args.manifest,
-        progress=_progress(args.quiet), backend=args.exec_backend,
-        queue_dir=args.queue, lease_ttl=args.lease_ttl,
-    )
-    if kwargs["workers"] is None:
-        import os
-        kwargs["workers"] = os.cpu_count() or 1
-
-    name = args.artefact
-    if args.backend is not None and name not in BACKEND_AWARE:
-        print(f"--backend applies only to: {', '.join(sorted(BACKEND_AWARE))}"
-              f" (got artefact {name!r})", file=sys.stderr)
-        return 2
-    if name in ("summary", "all"):
-        from repro.experiments import summary
-
-        outcome = summary.sweep(scale=scale, workloads=args.workloads,
-                                allow_failures=True, **kwargs)
-        for section in summary.compose_sections(outcome):
-            print(section)
-            print()
-    elif name == "report_card":
-        from repro.experiments import report_card
-
-        for unused in ("manifest_path", "progress", "queue_dir",
-                       "lease_ttl"):
-            kwargs.pop(unused)
-        criteria = report_card.run(scale=scale, workloads=args.workloads,
-                                   **kwargs)
-        print(report_card.render(criteria))
-        print(file=sys.stderr)
-        return 0
-    elif name in ARTEFACTS:
-        from repro.harness.api import run_artefacts
-        from repro.harness.jobs import render_rows
-
-        params = {"backend": args.backend} if args.backend else None
-        outcome = run_artefacts([(name, scale, params)], args.workloads,
-                                allow_failures=True, **kwargs)
-        print(render_rows(name, outcome.runs[0].rows))
-    else:
+    name = "summary" if args.artefact == "all" else args.artefact
+    if name not in ARTEFACTS and name not in ("summary", "report_card"):
         print(f"unknown artefact {args.artefact!r}; known: "
               + ", ".join(ARTEFACTS) + ", report_card, summary, all",
               file=sys.stderr)
         return 2
+    if args.backend is not None and name not in BACKEND_AWARE:
+        print(f"--backend applies only to: {', '.join(sorted(BACKEND_AWARE))}"
+              f" (got artefact {name!r})", file=sys.stderr)
+        return 2
+    scale = DEFAULT_SCALE if args.scale is None else args.scale
+    if name == "summary":
+        from repro.experiments import summary
+
+        requests = summary.requests(scale)
+    elif name == "report_card":
+        from repro.experiments import report_card
+
+        requests = report_card.requests(scale)
+    else:
+        requests = [(name, scale,
+                     {"backend": args.backend} if args.backend else None)]
+    try:
+        outcome = run_artefacts(
+            requests, args.workloads, allow_failures=True,
+            workers=args.workers,  # None: one per cpu
+            store=ResultStore(args.store) if args.store else None,
+            use_cache=not args.no_cache, timeout=args.timeout,
+            retries=args.retries, manifest_path=args.manifest,
+            progress=_progress(args.quiet), backend=args.exec_backend,
+            queue_dir=args.queue, lease_ttl=args.lease_ttl)
+    except ValueError as exc:  # a bad workload list or harness setting
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     manifest = outcome.manifest
+    if name == "summary":
+        sections = summary.compose_sections(outcome)
+        for section in sections:
+            print(section)
+            print()
+        if args.json:
+            Path(args.json).write_text(
+                json.dumps({"sections": sections}, indent=2) + "\n",
+                encoding="utf-8")
+    elif name == "report_card":
+        if not manifest.failed:  # grading needs every cell
+            criteria = report_card.grade(outcome)
+            print(report_card.render(criteria))
+            if args.json:
+                write_rows_json(args.json, criteria)
+    else:
+        rows = outcome.runs[0].rows
+        module = load_experiment_module(get_artefact(name).module)
+        print(module.render(rows))
+        chart = getattr(module, "render_chart", None)
+        if args.chart and chart is not None:
+            print()
+            print(chart(rows))
+        if args.json:
+            write_rows_json(args.json, rows)
+
     print(manifest.summary_line(), file=sys.stderr)
     for record in manifest.failed:
         print(f"FAILED {record.artefact}/{record.workload}: "
               f"{(record.error or '').strip().splitlines()[-1]}",
               file=sys.stderr)
     return 1 if manifest.failed else 0
+
+
+def run_main(argv: Sequence[str]) -> int:
+    """``python -m repro <artefact>``: the ``run`` path with inline
+    defaults (no worker processes, no result store)."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Run one artefact and print its report.")
+    _run_arguments(parser, inline=True)
+    return _cmd_run(parser.parse_args(argv))
 
 
 def _queue_for(args, store: ResultStore, require: bool = False):
@@ -238,11 +287,15 @@ def _cmd_enqueue(args) -> int:
         print(f"--backend applies only to: {', '.join(sorted(BACKEND_AWARE))}"
               f" (got artefact {args.artefact!r})", file=sys.stderr)
         return 2
-    store = ResultStore(args.store)
-    queue = _queue_for(args, store)
     scale = DEFAULT_SCALE if args.scale is None else args.scale
     params = {"backend": args.backend} if args.backend else None
-    jobs = expand_jobs(args.artefact, scale, args.workloads, params)
+    try:
+        jobs = expand_jobs(args.artefact, scale, args.workloads, params)
+    except ValueError as exc:  # an unknown or duplicate workload
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    store = ResultStore(args.store)
+    queue = _queue_for(args, store)
     enqueued = hits = 0
     for spec in jobs:
         key = store.key_for(spec)

@@ -1,5 +1,5 @@
-"""High-level entry points used by ``summary``, ``report_card`` and the
-``python -m repro.harness`` CLI.
+"""The high-level entry point behind the ``run`` path of ``python -m
+repro`` and ``python -m repro.harness``, and behind ``report_card.run``.
 
 ``run_artefacts`` pools the jobs of *several* artefact requests into one
 scheduler pass — so with ``--workers 8`` the slow Figure 9 cells overlap
@@ -64,7 +64,7 @@ def _normalize_params(params: Optional[dict]) -> tuple:
 
 def run_artefacts(requests: Sequence[tuple],
                   workloads: Optional[Sequence[str]] = None, *,
-                  workers: int = 0,
+                  workers: Optional[int] = 0,
                   store: Optional[ResultStore] = None,
                   use_cache: bool = True,
                   timeout: Optional[float] = None,
@@ -85,9 +85,9 @@ def run_artefacts(requests: Sequence[tuple],
     otherwise any failure raises :class:`HarnessError` after the sweep
     completes, so one bad cell never cancels in-flight work.
 
-    ``backend`` picks the execution backend (``inline``/``fork``/
-    ``worker``); the default follows ``workers`` — inline when 0, fork
-    otherwise.  The ``worker`` backend drains a persistent job queue
+    ``workers=None`` means one per cpu.  ``backend`` picks the execution
+    backend (``inline``/``fork``/``worker``); the default follows
+    ``workers`` — inline when 0, fork otherwise.  The ``worker`` backend drains a persistent job queue
     (``queue_dir``, default ``<store>/queue``) with ``workers`` local
     worker processes; external ``python -m repro.harness worker``
     processes sharing the directories join the same drain.
@@ -133,34 +133,10 @@ def run_artefacts(requests: Sequence[tuple],
     return SweepOutcome(runs=runs, manifest=outcome.manifest)
 
 
-def rows_for(name: str, scale: float,
-             workloads: Optional[Sequence[str]] = None,
-             params: Optional[dict] = None, *,
-             workers: int = 0,
-             store: Optional[ResultStore] = None,
-             use_cache: bool = True,
-             timeout: Optional[float] = None,
-             retries: int = 1,
-             backend: Optional[str] = None) -> list:
-    """The aggregated rows of one artefact, computed through the harness.
-
-    This is the drop-in replacement for ``module.run(scale, workloads)``:
-    identical rows (by construction — the serial path is the in-process
-    scheduler), but parallelizable and store-cacheable.
-    """
-    outcome = run_artefacts([(name, scale, params)], workloads,
-                            workers=workers, store=store,
-                            use_cache=use_cache, timeout=timeout,
-                            retries=retries, backend=backend,
-                            manifest_path=None)
-    return outcome.runs[0].rows
-
-
 __all__ = [
     "ArtefactRequest",
     "ArtefactRun",
     "HarnessError",
     "SweepOutcome",
-    "rows_for",
     "run_artefacts",
 ]

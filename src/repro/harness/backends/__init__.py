@@ -23,7 +23,6 @@ from repro.harness.backends.base import (
     BackendConfig,
     ExecutionBackend,
     RunState,
-    make_pending,
     retry_backoff_delay,
 )
 
@@ -58,6 +57,5 @@ __all__ = [
     "ExecutionBackend",
     "RunState",
     "make_backend",
-    "make_pending",
     "retry_backoff_delay",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Tuple
 
@@ -106,8 +105,3 @@ class ExecutionBackend(ABC):
         state.records[spec] = state.record(
             spec, key, STATUS_FAILED, wall_time=wall_time, worker=worker,
             attempts=attempts, error=error)
-
-
-def make_pending(specs, start_attempt: int = 1) -> "deque[PendingEntry]":
-    """A pending deque for ``specs``, all immediately runnable."""
-    return deque((spec, start_attempt, 0.0) for spec in specs)

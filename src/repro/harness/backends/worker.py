@@ -94,12 +94,17 @@ class WorkerBackend(ExecutionBackend):
                      procs: list) -> None:
         """Poll until every job has an outcome (or no worker remains).
 
+        Every round polls every local worker, and ``is_alive`` reaps one
+        that has exited: an unreaped zombie would pass the queue's
+        ``os.kill(pid, 0)`` owner check and hold its lease for the TTL.
+
         With zero spawned workers the drain is expected to come from
         external ``python -m repro.harness worker`` processes, so the
         wait has no liveness cut-off — interrupt it if they never come.
         """
         while queue.remaining(keys):
-            if procs and not any(proc.is_alive() for proc in procs):
+            alive = [proc.is_alive() for proc in procs]
+            if procs and not any(alive):
                 return  # every local worker died; collect what exists
             time.sleep(_DRAIN_POLL)
 

@@ -34,7 +34,6 @@ from repro.harness.backends import (
     BackendConfig,
     RunState,
     make_backend,
-    retry_backoff_delay,
 )
 from repro.harness.jobs import JobSpec
 from repro.harness.manifest import (
@@ -139,10 +138,6 @@ class Scheduler:
         return SchedulerRun(results=results, manifest=manifest)
 
     # -- record helpers --------------------------------------------------
-
-    def _backoff(self, spec: JobSpec, attempts: int) -> float:
-        """Retry delay for ``spec``: the shared key-derived schedule."""
-        return retry_backoff_delay(spec, attempts, self.retry_backoff)
 
     def _record(self, spec: JobSpec, key: str, status: str,
                 wall_time: float = 0.0, worker=None,

@@ -107,11 +107,6 @@ class Interpreter:
         self._check_addr(byte_addr)
         return self.memory.get(byte_addr >> 2, 0)
 
-    def store_word(self, byte_addr: int, value: object) -> None:
-        """Write memory at a byte address (must be word aligned)."""
-        self._check_addr(byte_addr)
-        self.memory[byte_addr >> 2] = value
-
     def _check_addr(self, byte_addr: int, size: int = WORD_SIZE) -> None:
         if byte_addr < 0:
             raise ExecutionError(f"negative address {byte_addr:#x}")

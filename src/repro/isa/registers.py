@@ -36,11 +36,6 @@ def fp(index: int) -> int:
     return FP_REG_BASE + index
 
 
-def is_fp(regid: int) -> bool:
-    """True when the flat id names a floating-point register."""
-    return regid >= FP_REG_BASE
-
-
 def register_name(regid: int) -> str:
     """Human-readable name of a flat register id."""
     if not 0 <= regid < NUM_REGS:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.isa.instructions import OpClass, latency_of
+from repro.isa.instructions import OpClass
 from repro.pipeline.config import ProcessorConfig
 
 
@@ -60,8 +60,3 @@ class BandwidthLimiter:
 
     def reset(self) -> None:
         self._counts.clear()
-
-
-def execution_latency(opclass: OpClass) -> int:
-    """Execution latency of a non-memory operation class."""
-    return latency_of(opclass)

@@ -17,8 +17,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.experiments.report import format_table
-from repro.experiments.runner import (
-    experiment_parser, maybe_write_json, select_workloads)
+from repro.experiments.runner import select_workloads
 from repro.serve.protocol import PROTO_VERSION
 from repro.serve.soak import DEFAULT_SEED, SOAK_VERSION, SoakRow, run_soak
 
@@ -99,27 +98,3 @@ def write_bench(rows: List[SoakRow], path: Path = BENCH_JSON) -> Path:
     path.write_text(json.dumps(bench_payload(rows), indent=2) + "\n",
                     encoding="utf-8")
     return path
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = experiment_parser(__doc__)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--sessions", type=int, default=4)
-    parser.add_argument("--overload", type=float, default=4.0)
-    parser.add_argument("--bench", default=None, metavar="PATH",
-                        help=f"also write the service-level summary JSON "
-                             f"(default location {BENCH_JSON})")
-    args = parser.parse_args(argv)
-    rows = run(scale=args.scale, workloads=args.workloads, seed=args.seed,
-               sessions=args.sessions, overload=args.overload)
-    maybe_write_json(args, rows)
-    if args.bench is not None:
-        write_bench(rows, Path(args.bench))
-    print(render(rows))
-    return 0 if all(row.passed for row in rows) else 1
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -172,10 +172,6 @@ class SessionReport:
     def degraded_total(self) -> int:
         return sum(self.degraded.values())
 
-    def all_latencies(self) -> List[float]:
-        return [sample for phase in sorted(self.latencies)
-                for sample in self.latencies[phase]]
-
 
 async def run_session(host: str, port: int, name: str,
                       records: Sequence[Tuple[str, bool, Optional[str]]],

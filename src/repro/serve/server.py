@@ -154,10 +154,6 @@ class PredictionServer:
     def draining(self) -> bool:
         return self._draining
 
-    @property
-    def active_sessions(self) -> int:
-        return len(self._sessions)
-
     async def start(self) -> None:
         """Bind and start accepting connections; sets :attr:`port`."""
         self._drain_requested = asyncio.Event()

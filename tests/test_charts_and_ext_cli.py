@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.experiments import ext_distance, ext_hybrid, ext_predictors
 from repro.experiments import fig2, fig5, fig6
 
@@ -26,7 +27,8 @@ class TestChartRenderers:
         assert "#" in chart
 
     def test_chart_flag_via_main(self, capsys):
-        fig5.main(["--scale", "0.01", "--workloads", "li", "--chart"])
+        assert cli_main(["fig5", "--scale", "0.01", "--workloads", "li",
+                         "--chart"]) == 0
         out = capsys.readouterr().out
         assert "Figure 5 (DDT 128)" in out
 
@@ -35,13 +37,12 @@ class TestExtensionCLIs:
     @pytest.mark.parametrize("module", [ext_hybrid, ext_distance,
                                         ext_predictors])
     def test_main_runs(self, module, capsys):
-        module.main(["--scale", "0.01", "--workloads", "li"])
+        name = module.__name__.rsplit(".", 1)[1]
+        assert cli_main([name, "--scale", "0.01", "--workloads", "li"]) == 0
         assert capsys.readouterr().out.strip()
 
     def test_report_card_main(self, capsys):
-        from repro.experiments import report_card
-
-        report_card.main(["--scale", "0.02",
-                          "--workloads", "li", "com", "swm", "aps"])
+        assert cli_main(["report_card", "--scale", "0.02",
+                         "--workloads", "li", "com", "swm", "aps"]) == 0
         out = capsys.readouterr().out
         assert "criteria PASS" in out

@@ -5,6 +5,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.experiments import ext_distance, ext_hybrid, ext_predictors, summary
+from repro.harness import run_artefacts
 
 
 class TestCLI:
@@ -34,9 +35,9 @@ class TestCLI:
 
 
 class TestSummary:
-    def test_run_all_covers_every_artefact(self):
-        sections = summary.run_all(scale=0.01, workloads=["li"])
-        text = "\n".join(sections)
+    def test_sections_cover_every_artefact(self):
+        outcome = run_artefacts(summary.requests(0.01), ["li"])
+        text = "\n".join(summary.compose_sections(outcome))
         for title in ("Table 5.1", "Figure 2", "Figure 5", "Figure 6",
                       "Figure 7", "Table 5.2", "Figure 9", "Figure 10",
                       "Extension"):

@@ -5,7 +5,7 @@ import pytest
 from repro.dependence.distance import (
     DependenceDistanceAnalysis,
     DistanceHistogram,
-    _RecencyRanker,
+    RecencyRanker,
 )
 from repro.isa.instructions import OpClass
 from repro.trace.records import DynInst
@@ -22,16 +22,16 @@ def store(index, pc, addr):
 
 class TestRecencyRanker:
     def test_first_touch_returns_none(self):
-        ranker = _RecencyRanker()
+        ranker = RecencyRanker()
         assert ranker.touch(5) is None
 
     def test_immediate_retouch_rank_zero(self):
-        ranker = _RecencyRanker()
+        ranker = RecencyRanker()
         ranker.touch(5)
         assert ranker.touch(5) == 0
 
     def test_rank_counts_unique_intervening(self):
-        ranker = _RecencyRanker()
+        ranker = RecencyRanker()
         ranker.touch(1)
         ranker.touch(2)
         ranker.touch(3)
@@ -39,7 +39,7 @@ class TestRecencyRanker:
         assert ranker.touch(1) == 2  # {2, 3} intervened
 
     def test_rank_since(self):
-        ranker = _RecencyRanker()
+        ranker = RecencyRanker()
         ranker.touch(1)
         t = ranker.now
         ranker.touch(2)

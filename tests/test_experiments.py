@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.experiments import fig2, fig5, fig6, fig7, fig9, fig10, table51, table52
 
 SUBSET = ["li", "com", "swm"]
@@ -118,5 +119,6 @@ class TestCLI:
     @pytest.mark.parametrize("module", [table51, fig2, fig5, fig6, fig7,
                                         table52])
     def test_main_runs(self, module, capsys):
-        module.main(["--scale", "0.01", "--workloads", "li"])
+        name = module.__name__.rsplit(".", 1)[1]
+        assert cli_main([name, "--scale", "0.01", "--workloads", "li"]) == 0
         assert capsys.readouterr().out.strip()

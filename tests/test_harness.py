@@ -22,7 +22,6 @@ from repro.harness import (
     Scheduler,
     expand_jobs,
     retry_backoff_delay,
-    rows_for,
     run_artefacts,
 )
 from repro.harness.jobs import make_job
@@ -215,15 +214,18 @@ class TestParallelEqualsSerial:
                 == fig6.render(fig6.run(scale=SCALE, workloads=WORKLOADS)))
 
     def test_summary_parallel_matches_serial(self):
-        serial = summary.run_all(scale=SCALE, workloads=["li", "com"])
-        parallel = summary.run_all(scale=SCALE, workloads=["li", "com"],
-                                   workers=4)
-        assert parallel == serial
+        requests = summary.requests(SCALE)
+        serial = run_artefacts(requests, ["li", "com"], workers=0)
+        parallel = run_artefacts(requests, ["li", "com"], workers=4)
+        assert (summary.compose_sections(parallel)
+                == summary.compose_sections(serial))
 
     def test_cached_rows_render_identically(self, tmp_path):
         store = ResultStore(tmp_path)
-        fresh = rows_for("fig2", SCALE, WORKLOADS, workers=2, store=store)
-        cached = rows_for("fig2", SCALE, WORKLOADS, workers=0, store=store)
+        fresh = run_artefacts([("fig2", SCALE)], WORKLOADS, workers=2,
+                              store=store).rows("fig2")
+        cached = run_artefacts([("fig2", SCALE)], WORKLOADS, workers=0,
+                               store=store).rows("fig2")
         assert fig2.render(cached) == fig2.render(fresh)
 
 
@@ -288,7 +290,7 @@ class TestCaching:
         """A paper configuration is a constant in fingerprinted source, so
         editing it changes the code fingerprint and the cell recomputes."""
         store = ResultStore(tmp_path / "store")
-        rows_for("fig2", SCALE, ["li"], store=store)
+        run_artefacts([("fig2", SCALE)], ["li"], store=store)
         outcome = run_artefacts([("fig2", SCALE)], ["li"], store=store)
         assert outcome.manifest.hits == 1
 
@@ -314,7 +316,7 @@ class TestCaching:
 
     def test_no_cache_flag_recomputes(self, tmp_path):
         store = ResultStore(tmp_path)
-        rows_for("fig2", SCALE, ["li"], store=store)
+        run_artefacts([("fig2", SCALE)], ["li"], store=store)
         outcome = run_artefacts([("fig2", SCALE)], ["li"], store=store,
                                 use_cache=False)
         assert outcome.manifest.hits == 0
@@ -447,9 +449,8 @@ class TestMonotonicDurations:
 
 class TestRetryBackoff:
     def test_backoff_is_exponential_with_bounded_jitter(self):
-        scheduler = Scheduler(workers=0, retry_backoff=0.1)
         spec = make_job("fig2", "li", SCALE)
-        delays = [scheduler._backoff(spec, attempt)
+        delays = [retry_backoff_delay(spec, attempt, 0.1)
                   for attempt in (1, 2, 3)]
         for attempt, delay in zip((1, 2, 3), delays):
             base = 0.1 * 2 ** (attempt - 1)
@@ -457,15 +458,16 @@ class TestRetryBackoff:
         assert delays[0] < delays[1] < delays[2]
 
     def test_backoff_is_deterministic_per_job(self):
-        a = Scheduler(workers=0)._backoff(make_job("fig2", "li", SCALE), 2)
-        b = Scheduler(workers=0)._backoff(make_job("fig2", "li", SCALE), 2)
-        c = Scheduler(workers=0)._backoff(make_job("fig2", "go", SCALE), 2)
+        base = Scheduler.DEFAULT_RETRY_BACKOFF
+        a = retry_backoff_delay(make_job("fig2", "li", SCALE), 2, base)
+        b = retry_backoff_delay(make_job("fig2", "li", SCALE), 2, base)
+        c = retry_backoff_delay(make_job("fig2", "go", SCALE), 2, base)
         assert a == b
         assert a != c
 
     def test_zero_backoff_disables_delay(self):
-        scheduler = Scheduler(workers=0, retry_backoff=0.0)
-        assert scheduler._backoff(make_job("fig2", "li", SCALE), 3) == 0.0
+        assert retry_backoff_delay(make_job("fig2", "li", SCALE), 3,
+                                   0.0) == 0.0
 
     def test_backoff_is_sensitive_to_params(self):
         plain = retry_backoff_delay(make_job("fig2", "li", SCALE), 2, 0.1)
@@ -476,8 +478,9 @@ class TestRetryBackoff:
     def test_backoff_derives_from_the_job_key_not_worker_state(self):
         """Any backend (or host) computes the same retry schedule."""
         spec = make_job("fig2", "li", SCALE)
-        scheduler = Scheduler(workers=0, retry_backoff=0.1)
-        assert (scheduler._backoff(spec, 2)
+        # the spec as a queue worker on another host rebuilds it
+        shipped = JobSpec.from_json(json.loads(json.dumps(spec.to_json())))
+        assert (retry_backoff_delay(shipped, 2, 0.1)
                 == retry_backoff_delay(spec, 2, 0.1))
 
     def test_retries_are_spaced_by_backoff(self, monkeypatch):
@@ -532,7 +535,7 @@ class TestQuarantine:
 
     def test_sweep_recomputes_after_quarantine(self, tmp_path):
         store = ResultStore(tmp_path)
-        rows_for("fig2", SCALE, ["li"], store=store)
+        run_artefacts([("fig2", SCALE)], ["li"], store=store)
         path = store.objects()[0]
         path.write_text("{broken", encoding="utf-8")
         outcome = run_artefacts([("fig2", SCALE)], ["li"], store=store)
@@ -580,7 +583,7 @@ class TestHarnessCLI:
     def test_status_and_clean(self, tmp_path, capsys):
         from repro.harness.__main__ import main as harness_main
 
-        rows_for("fig2", SCALE, ["li"], store=ResultStore(tmp_path))
+        run_artefacts([("fig2", SCALE)], ["li"], store=ResultStore(tmp_path))
         assert harness_main(["status", "--store", str(tmp_path)]) == 0
         assert "objects:      1" in capsys.readouterr().out
         assert harness_main(["clean", "--store", str(tmp_path)]) == 0
@@ -591,6 +594,34 @@ class TestHarnessCLI:
 
         assert harness_main(["run", "nope", "--store", str(tmp_path)]) == 2
         assert "unknown artefact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "enqueue"])
+    @pytest.mark.parametrize("workloads, message", [
+        (["xx"], "unknown workload abbreviation 'xx'; valid abbreviations: "
+                 "go, m88"),
+        (["li", "li"], "duplicate workload abbreviation 'li'"),
+    ], ids=["unknown", "duplicate"])
+    def test_bad_workloads_are_usage_errors(self, tmp_path, capsys,
+                                            command, workloads, message):
+        from repro.harness.__main__ import main as harness_main
+
+        assert harness_main([command, "fig5", "--workloads", *workloads,
+                             "--store", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_repro_cli_writes_nothing_by_default(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """``python -m repro`` runs inline with no store: no results/store,
+        no manifest, unless --store or --json asks for a file."""
+        from repro.__main__ import main as cli_main
+
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["fig2", "--scale", str(SCALE),
+                         "--workloads", "li"]) == 0
+        assert "Figure 2" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +655,11 @@ class TestSatellites:
             select_workloads(["li", "li"])
 
     def test_json_flag_emits_store_format(self, tmp_path):
+        from repro.__main__ import main as cli_main
+
         path = tmp_path / "rows.json"
-        fig2.main(["--scale", str(SCALE), "--workloads", "li",
-                   "--json", str(path)])
+        assert cli_main(["fig2", "--scale", str(SCALE), "--workloads", "li",
+                         "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
         assert payload["row_type"] == "repro.experiments.fig2:LocalityRow"
         assert rows_from_payload(payload) == fig2.run(scale=SCALE,

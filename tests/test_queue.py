@@ -339,6 +339,37 @@ class TestWorkerBackendFailures:
         assert outcome.runs[0].failed == [helpers.RAISING_WORKLOAD,
                                           helpers.DYING_WORKLOAD]
 
+    def test_drain_poll_reaps_a_dead_worker_behind_a_live_one(self):
+        """One poll reaps every exited local worker, not only those
+        before the first live one: an unreaped zombie passes the queue's
+        ``os.kill(pid, 0)`` owner check and holds its lease for the TTL."""
+        from repro.harness.backends import BackendConfig
+        from repro.harness.backends.worker import WorkerBackend
+
+        ctx = multiprocessing.get_context("fork")
+        alive = ctx.Process(target=time.sleep, args=(60,))
+        dead = ctx.Process(target=time.sleep, args=(0,))
+        alive.start()
+        dead.start()
+        try:
+            deadline = time.monotonic() + 10
+            # wait for the exit without reaping it (WNOWAIT)
+            while os.waitid(os.P_PID, dead.pid, os.WEXITED | os.WNOHANG
+                            | os.WNOWAIT) is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            polls = iter((["key"], []))  # one drain round, then drained
+            queue = type("OnePollQueue", (), {
+                "remaining": lambda self, keys: next(polls)})()
+            WorkerBackend(BackendConfig(workers=2))._await_drain(
+                queue, ["key"], [alive, dead])
+            with pytest.raises(ChildProcessError):
+                os.waitpid(dead.pid, os.WNOHANG)
+        finally:
+            alive.terminate()
+            alive.join()
+            dead.join(1)
+
 
 # ---------------------------------------------------------------------------
 # the distributed CLI: enqueue -> worker -> status -> run
@@ -385,10 +416,9 @@ class TestQueueCLI:
 
     def test_enqueue_skips_cached_cells(self, tmp_path, capsys):
         from repro.harness.__main__ import main as harness_main
-        from repro.harness.api import rows_for
 
         store_dir = str(tmp_path / "store")
-        rows_for("fig2", SCALE, ["li"], store=ResultStore(store_dir))
+        run_artefacts([("fig2", SCALE)], ["li"], store=ResultStore(store_dir))
         assert harness_main(["enqueue", "fig2", "--scale", str(SCALE),
                              "--workloads", "li", "com",
                              "--store", store_dir,

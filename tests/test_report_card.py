@@ -27,3 +27,23 @@ class TestReportCard:
         text = report_card.render(criteria)
         assert "criteria PASS" in text
         assert "verdict" in text
+
+    def test_harness_run_grades_in_one_pooled_pass(self, tmp_path, capsys):
+        """The six graded artefacts run as one harness pass: one manifest
+        holds every cell, and the CLI's store and progress options apply."""
+        from repro.harness import ResultStore, RunManifest
+        from repro.harness.__main__ import main as harness_main
+
+        store = ResultStore(tmp_path)
+        assert harness_main(["run", "report_card", "--scale", "0.02",
+                             "--workloads", "li", "swm", "--workers", "0",
+                             "--store", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "criteria PASS" in captured.out
+        assert "fig9/li: computed" in captured.err
+        [manifest] = store.manifests()
+        jobs = RunManifest.load(manifest).jobs
+        assert [(job.artefact, job.workload) for job in jobs] == [
+            (name, abbrev)
+            for name in ("fig6", "fig5", "table52", "fig2", "fig9", "fig10")
+            for abbrev in ("li", "swm")]
