@@ -279,7 +279,8 @@ def worker_saboteur(faults: Mapping[str, str],
     ``crash`` hard-exits the worker, ``hang`` ignores SIGTERM and sleeps
     (provoking the scheduler's SIGKILL escalation), ``slow-start`` sleeps
     ``delay`` seconds then proceeds normally.  Install with
-    :func:`repro.harness.jobs.set_injection_hook`; fork workers inherit it.
+    :func:`repro.harness.jobs.set_injection_hook`; the forked per-claim
+    children of queue workers inherit it.
     """
     for mode in faults.values():
         if mode not in WORKER_FAULTS:

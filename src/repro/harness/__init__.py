@@ -2,14 +2,16 @@
 
 The evaluation is a grid of artefacts x workloads.  This package
 decomposes each experiment into per-(artefact, workload, scale) jobs
-(:mod:`repro.harness.jobs`), runs them through a pluggable execution
-backend — inline in-process, a crash-isolated ``fork`` pool, or a
-leased persistent work queue drained by workers on any host sharing the
-store (:mod:`repro.harness.backends`, :mod:`repro.harness.queue`,
-:mod:`repro.harness.worker`) — caches every cell's rows on disk keyed
-by a stable hash of the cell's identity (artefact, workload, scale,
-params) plus a code fingerprint (:mod:`repro.harness.store`), and
-records what happened in a run manifest (:mod:`repro.harness.manifest`).
+(:mod:`repro.harness.jobs`) and runs them through a pluggable
+execution backend (:mod:`repro.harness.backends`): inline in-process,
+or queue workers (:mod:`repro.harness.worker`) that run each job in a
+crash-isolated child with a timeout and a lease heartbeat, on a queue
+the run owns (``fork``) or on a persistent one (``worker``,
+:mod:`repro.harness.queue`) that workers on any host sharing the store
+can join.  It caches every cell's rows on disk keyed by a stable hash of
+the cell's identity (artefact, workload, scale, params) plus a code
+fingerprint (:mod:`repro.harness.store`), and records what happened in
+a run manifest (:mod:`repro.harness.manifest`).
 
 ``python -m repro.harness run summary --workers 8`` runs the whole
 evaluation in parallel; a second invocation is almost entirely cache

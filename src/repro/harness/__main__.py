@@ -23,6 +23,7 @@ a grid's cache-miss cells into a persistent queue directory, and any
 number of workers — on this host or any host sharing the queue and
 store directories — lease and execute them.  ``run --exec-backend
 worker --workers 0`` enqueues and waits for external workers only.
+SIGTERM to ``run`` stops its workers and exits with status 143.
 """
 
 from __future__ import annotations
@@ -48,6 +49,24 @@ from repro.harness.store import (
 BACKEND_AWARE = frozenset({"fig2", "fig5", "fig7"})
 
 
+def _count(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
+def seconds(text: str) -> float:
+    """An argparse type: a positive number of seconds."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _run_arguments(run: argparse.ArgumentParser, inline: bool) -> None:
     """Add the options of ``run`` to ``run``.
 
@@ -71,16 +90,19 @@ def _run_arguments(run: argparse.ArgumentParser, inline: bool) -> None:
                           "cache key")
     run.add_argument("--exec-backend", choices=BACKEND_NAMES, default=None,
                      help="execution backend (default: inline when "
-                          "--workers 0, else fork); 'worker' drains a "
-                          "persistent job queue with --workers local "
-                          "workers plus any external ones")
-    run.add_argument("--workers", type=int, default=0 if inline else None,
+                          "--workers 0, else fork); 'fork' drains a job "
+                          "queue this run owns with --workers local "
+                          "workers, 'worker' a persistent one that "
+                          "external workers can join")
+    run.add_argument("--workers", type=_count(0),
+                     default=0 if inline else None,
                      help="worker processes (default: "
                           + ("" if inline else "cpu count; ")
                           + "0 = run inline)")
-    run.add_argument("--timeout", type=float, default=None,
-                     help="per-job timeout in seconds (default: none)")
-    run.add_argument("--retries", type=int, default=1,
+    run.add_argument("--timeout", type=seconds, default=None,
+                     help="per-job timeout in seconds, for fork and for "
+                          "worker's local workers (default: none)")
+    run.add_argument("--retries", type=_count(0), default=1,
                      help="retries per failed/crashed/timed-out job "
                           "(default %(default)s)")
     run.add_argument("--store", default=None if inline else str(DEFAULT_ROOT),
@@ -90,9 +112,10 @@ def _run_arguments(run: argparse.ArgumentParser, inline: bool) -> None:
     run.add_argument("--queue", default=None, metavar="DIR",
                      help="job queue directory for the worker backend "
                           "(default <store>/queue)")
-    run.add_argument("--lease-ttl", type=float, default=None,
-                     help="seconds before a queue lease may be reclaimed "
-                          "(worker backend; default 300)")
+    run.add_argument("--lease-ttl", type=seconds, default=None,
+                     help="seconds a queue lease outlives its worker's "
+                          "last heartbeat before it may be reclaimed "
+                          "(fork and worker backends; default 30)")
     run.add_argument("--no-cache", action="store_true",
                      help="recompute every cell (results still stored)")
     run.add_argument("--manifest", default=None, metavar="PATH",
@@ -141,15 +164,17 @@ def _parser() -> argparse.ArgumentParser:
                        "execute them, write results to the store")
     worker.add_argument("--queue", required=True, metavar="DIR")
     worker.add_argument("--store", required=True, metavar="DIR")
-    worker.add_argument("--retries", type=int, default=1,
+    worker.add_argument("--retries", type=_count(0), default=1,
                         help="total retry budget per job, shared across "
                              "all workers (default %(default)s)")
-    worker.add_argument("--lease-ttl", type=float, default=None,
-                        help="lease seconds before reclaim (default 300)")
-    worker.add_argument("--poll", type=float, default=0.5,
+    worker.add_argument("--lease-ttl", type=seconds, default=None,
+                        help="seconds a lease outlives this worker's last "
+                             "heartbeat before it may be reclaimed "
+                             "(default 30)")
+    worker.add_argument("--poll", type=seconds, default=0.5,
                         help="idle poll interval in seconds "
                              "(default %(default)s)")
-    worker.add_argument("--max-jobs", type=int, default=None,
+    worker.add_argument("--max-jobs", type=_count(1), default=None,
                         help="exit after claiming this many jobs")
     worker.add_argument("--keep-alive", action="store_true",
                         help="idle for new work instead of exiting once "
@@ -266,13 +291,14 @@ def run_main(argv: Sequence[str]) -> int:
     return _cmd_run(parser.parse_args(argv))
 
 
-def _queue_for(args, store: ResultStore, require: bool = False):
+def _queue_for(args, store: ResultStore):
     """The JobQueue named by ``--queue`` (default ``<store>/queue``)."""
     from repro.harness.queue import DEFAULT_LEASE_TTL, JobQueue
 
     root = args.queue if args.queue is not None else store.root / "queue"
     ttl = getattr(args, "lease_ttl", None)
-    return JobQueue(root, lease_ttl=ttl if ttl else DEFAULT_LEASE_TTL)
+    return JobQueue(root,
+                    lease_ttl=DEFAULT_LEASE_TTL if ttl is None else ttl)
 
 
 def _cmd_enqueue(args) -> int:

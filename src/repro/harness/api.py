@@ -87,10 +87,12 @@ def run_artefacts(requests: Sequence[tuple],
 
     ``workers=None`` means one per cpu.  ``backend`` picks the execution
     backend (``inline``/``fork``/``worker``); the default follows
-    ``workers`` — inline when 0, fork otherwise.  The ``worker`` backend drains a persistent job queue
-    (``queue_dir``, default ``<store>/queue``) with ``workers`` local
-    worker processes; external ``python -m repro.harness worker``
-    processes sharing the directories join the same drain.
+    ``workers`` — inline when 0, fork otherwise.  ``fork`` drains a
+    queue the run owns with ``workers`` local queue workers; ``worker``
+    a persistent one (``queue_dir``, default ``<store>/queue``) that
+    external ``python -m repro.harness worker`` processes can join.
+    SIGTERM to the calling process then stops the local workers and
+    exits with status 143.
     """
     normalized: List[ArtefactRequest] = []
     for request in requests:

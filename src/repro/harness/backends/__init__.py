@@ -4,15 +4,18 @@ The scheduler owns job decomposition, cache lookups, aggregation order
 and the manifest; a backend owns execution placement:
 
 * ``inline`` — jobs run serially in the calling process (``workers=0``).
-* ``fork``   — one crash-isolated forked child per job, with timeout,
-  SIGTERM→SIGKILL escalation and bounded retry (``workers>=1``).
-* ``worker`` — jobs are serialized into a persistent leased work queue
-  and drained by N worker processes, on this host or any host sharing
-  the store directory.
+* ``fork``   — ``workers`` local queue workers drain a queue in a
+  temporary directory that the run owns and removes (``workers>=1``).
+* ``worker`` — the same workers on a persistent queue (default
+  ``<store>/queue``) that workers on any host sharing the store
+  directory can join.
 
-All three produce byte-identical reports for the same grid — the rows
-travel through the same store serialization and are recomposed in the
-same paper order.
+Outside ``inline`` there is one failure model, the queue worker's
+(:mod:`repro.harness.worker`): each claim runs in a forked child with a
+per-job timeout, SIGTERM→SIGKILL escalation and a lease heartbeat, and
+retries are charged in the queue.  All three produce byte-identical
+reports for the same grid — the rows travel through the same store
+serialization and are recomposed in the same paper order.
 """
 
 from __future__ import annotations
@@ -38,15 +41,11 @@ def make_backend(name: str, config: BackendConfig, *,
         from repro.harness.backends.inline import InlineBackend
 
         return InlineBackend(config)
-    if name == "fork":
-        from repro.harness.backends.fork import ForkBackend
-
-        return ForkBackend(config)
-    if name == "worker":
+    if name in ("fork", "worker"):
         from repro.harness.backends.worker import WorkerBackend
 
         return WorkerBackend(config, queue_dir=queue_dir,
-                             lease_ttl=lease_ttl)
+                             lease_ttl=lease_ttl, private=name == "fork")
     raise ValueError(f"unknown execution backend {name!r}; "
                      f"known: {', '.join(BACKEND_NAMES)}")
 

@@ -3,11 +3,11 @@
 A backend is handed the cache-miss jobs of one scheduler run (the
 :class:`RunState`) and must resolve every one of them: either a row list
 lands in ``state.results`` plus a ``computed`` record, or a ``failed``
-record explains why.  *Where* the job executes — the calling process, a
-forked child, a leased queue worker on another host — is the backend's
-business; the job decomposition, the store key and the aggregation order
-are fixed by the scheduler, which is why every backend produces
-byte-identical reports for the same grid.
+record explains why.  *Where* the job executes — the calling process, or
+a queue worker on this host or another — is the backend's business; the
+job decomposition, the store key and the aggregation order are fixed by
+the scheduler, which is why every backend produces byte-identical
+reports for the same grid.
 
 Retry pacing lives here too: :func:`retry_backoff_delay` derives the
 jitter from the *job's own identity* (artefact, workload, scale, params),
@@ -17,19 +17,14 @@ reproducible across backends, processes and hosts.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.harness.jobs import JobSpec
-from repro.harness.manifest import STATUS_FAILED, JobRecord
+from repro.harness.manifest import JobRecord
 from repro.harness.store import ResultStore
 from repro.util.hashing import stable_hash
-
-#: one pending entry: (spec, attempt number, earliest start time on the
-#: ``time.monotonic`` clock; pending entries never leave this process)
-PendingEntry = Tuple[JobSpec, int, float]
 
 #: signature of the scheduler's record factory (spec, key, status, ...)
 RecordFn = Callable[..., JobRecord]
@@ -66,12 +61,12 @@ class BackendConfig:
 class RunState:
     """The mutable bookkeeping of one scheduler run.
 
-    Backends drain ``pending`` and fill ``results``/``records``; the
-    ``record`` factory (owned by the scheduler) builds manifest entries
-    and fires the progress callback.
+    Backends run the ``pending`` jobs and fill ``results``/``records``;
+    the ``record`` factory (owned by the scheduler) builds manifest
+    entries and fires the progress callback.
     """
 
-    pending: Deque[PendingEntry]
+    pending: List[JobSpec]
     keys: Dict[JobSpec, str]
     store: Optional[ResultStore]
     results: Dict[JobSpec, list]
@@ -82,26 +77,10 @@ class RunState:
 class ExecutionBackend(ABC):
     """Resolve every pending job of a run, somewhere."""
 
-    #: registry name (``--exec-backend`` value); subclasses override
-    name = "abstract"
-
     def __init__(self, config: BackendConfig) -> None:
         self.config = config
 
     @abstractmethod
     def execute(self, state: RunState) -> None:
-        """Drain ``state.pending``, filling results and records."""
-
-    # -- shared failure/retry policy ------------------------------------
-
-    def fail(self, state: RunState, spec: JobSpec, key: str, attempts: int,
-             error: str, wall_time: float, worker=None) -> None:
-        """Requeue a failed attempt, or record it as terminally failed."""
-        if attempts <= self.config.retries:
-            not_before = time.monotonic() + retry_backoff_delay(
-                spec, attempts, self.config.retry_backoff)
-            state.pending.append((spec, attempts + 1, not_before))
-            return
-        state.records[spec] = state.record(
-            spec, key, STATUS_FAILED, wall_time=wall_time, worker=worker,
-            attempts=attempts, error=error)
+        """Resolve every job in ``state.pending``, filling results and
+        records."""

@@ -1,94 +1,97 @@
-"""The worker backend: queue-drain execution over the shared store.
-
-``execute`` serializes every pending job into a persistent
-:class:`~repro.harness.queue.JobQueue` (default ``<store>/queue``),
-spawns ``workers`` local worker-loop processes, and waits for the queue
-to drain.  Because the queue and store are plain directories, *external*
-workers — ``python -m repro.harness worker`` on this host or any other
-host sharing the filesystem — can join the drain at any point; with
-``workers=0`` the backend spawns nothing and relies on them entirely.
-
-Results are collected back through the store (the same content-addressed
-objects any backend writes), so the recomposed report is byte-identical
-to inline and fork execution of the same grid.
+"""The queue backends, ``fork`` and ``worker``: a parallel run drains a
+leased job queue with local :func:`~repro.harness.worker.worker_loop`
+processes and collects the rows back through the store, so the report
+is byte-identical to inline execution of the grid.  ``fork`` keeps its
+queue (and, without a store, a store) in a temporary directory that it
+removes; ``worker``'s queue persists (default ``<store>/queue``) and
+external workers can join it — with ``workers=0`` the run relies on them
+entirely.  SIGTERM raises :class:`SystemExit` while the run drains, so
+it stops its workers and removes what it owns on the way out.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
-from typing import List, Optional
+import multiprocessing.connection
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, List, Optional, Tuple
 
-from repro.harness.backends.base import ExecutionBackend, RunState
-from repro.harness.jobs import JobSpec
+from repro.harness.backends.base import (
+    BackendConfig,
+    ExecutionBackend,
+    RunState,
+)
 from repro.harness.manifest import STATUS_COMPUTED, STATUS_FAILED
 from repro.harness.queue import DEFAULT_LEASE_TTL, JobQueue
+from repro.harness.store import ResultStore
+from repro.harness.worker import sigterm_exits, stop_process, worker_loop
 
 #: seconds between drain-progress polls in the orchestrating process
 _DRAIN_POLL = 0.05
 
 
-def _spawn_worker_main(queue_root, store_root, lease_ttl, retries,
-                       retry_backoff) -> None:
+def _spawn_worker_main(queue: JobQueue, store: ResultStore,
+                       config: BackendConfig) -> None:
     """Entry point of one spawned worker process (fork start method)."""
-    from repro.harness.store import ResultStore
-    from repro.harness.worker import worker_loop
-
-    worker_loop(JobQueue(queue_root, lease_ttl=lease_ttl),
-                ResultStore(store_root), retries=retries,
-                retry_backoff=retry_backoff, keep_alive=False)
+    worker_loop(queue, store, retries=config.retries,
+                retry_backoff=config.retry_backoff, timeout=config.timeout,
+                term_grace=config.term_grace, keep_alive=False)
 
 
 class WorkerBackend(ExecutionBackend):
-    """Drain jobs through a leased work queue shared with N workers."""
+    """Drain jobs through a leased work queue shared with N workers;
+    ``private`` selects ``fork``'s run-owned temporary directory."""
 
-    name = "worker"
-
-    def __init__(self, config, queue_dir=None,
-                 lease_ttl: Optional[float] = None) -> None:
+    def __init__(self, config: BackendConfig, queue_dir=None,
+                 lease_ttl: Optional[float] = None,
+                 private: bool = False) -> None:
         super().__init__(config)
         self.queue_dir = queue_dir
-        self.lease_ttl = lease_ttl if lease_ttl is not None else (
-            DEFAULT_LEASE_TTL)
+        self.lease_ttl = (DEFAULT_LEASE_TTL if lease_ttl is None
+                          else lease_ttl)
+        self.private = private
 
     def execute(self, state: RunState) -> None:
-        if state.store is None:
+        if state.store is None and not self.private:
             raise ValueError(
                 "the worker backend requires a result store: completed "
                 "jobs hand their rows over through it")
-        queue_root = (self.queue_dir if self.queue_dir is not None
-                      else state.store.root / "queue")
-        queue = JobQueue(queue_root, lease_ttl=self.lease_ttl)
+        keys = [state.keys[spec] for spec in state.pending]
+        with sigterm_exits(), self._placement(state.store) as (queue,
+                                                                store):
+            for spec, key in zip(state.pending, keys):
+                queue.enqueue(spec, key)
+            ctx = multiprocessing.get_context("fork")
+            procs: list = []
+            try:
+                for _ in range(self.config.workers):
+                    proc = ctx.Process(target=_spawn_worker_main,
+                                       args=(queue, store, self.config))
+                    proc.start()
+                    procs.append(proc)
+                self._await_drain(queue, keys, procs)
+                for proc in procs:  # drained workers exit by themselves
+                    proc.join(self.config.term_grace)
+            finally:
+                for proc in procs:
+                    stop_process(proc, self.config.term_grace)
+            self._collect(state, queue, store)
 
-        ordered: List[JobSpec] = []
-        while state.pending:
-            spec, _attempts, _not_before = state.pending.popleft()
-            queue.enqueue(spec, state.keys[spec])
-            ordered.append(spec)
-        if not ordered:
+    @contextmanager
+    def _placement(self, store: Optional[ResultStore]
+                   ) -> Iterator[Tuple[JobQueue, ResultStore]]:
+        """The run's queue and store."""
+        if not self.private:
+            yield JobQueue(self.queue_dir if self.queue_dir is not None
+                           else store.root / "queue",
+                           lease_ttl=self.lease_ttl), store
             return
-
-        procs = self._spawn_workers(state.store.root, queue_root)
-        try:
-            self._await_drain(queue, [state.keys[spec] for spec in ordered],
-                              procs)
-        finally:
-            self._stop_workers(procs)
-        self._collect(state, queue, ordered)
-
-    # -- worker fleet ----------------------------------------------------
-
-    def _spawn_workers(self, store_root, queue_root) -> list:
-        ctx = multiprocessing.get_context("fork")
-        procs = []
-        for _ in range(self.config.workers):
-            proc = ctx.Process(
-                target=_spawn_worker_main,
-                args=(queue_root, store_root, self.lease_ttl,
-                      self.config.retries, self.config.retry_backoff))
-            proc.start()
-            procs.append(proc)
-        return procs
+        with tempfile.TemporaryDirectory(prefix="repro-run-") as owned:
+            yield (JobQueue(Path(owned) / "queue", lease_ttl=self.lease_ttl),
+                   store if store is not None
+                   else ResultStore(Path(owned) / "store"))
 
     def _await_drain(self, queue: JobQueue, keys: List[str],
                      procs: list) -> None:
@@ -103,27 +106,17 @@ class WorkerBackend(ExecutionBackend):
         wait has no liveness cut-off — interrupt it if they never come.
         """
         while queue.remaining(keys):
-            alive = [proc.is_alive() for proc in procs]
-            if procs and not any(alive):
+            alive = [proc.sentinel for proc in procs if proc.is_alive()]
+            if procs and not alive:
                 return  # every local worker died; collect what exists
-            time.sleep(_DRAIN_POLL)
-
-    def _stop_workers(self, procs: list) -> None:
-        """Join drained workers, escalating exactly like the fork pool."""
-        for proc in procs:
-            proc.join(self.config.term_grace)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(self.config.term_grace)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
+            # a worker exits as soon as the queue is drained: wake then
+            multiprocessing.connection.wait(alive, _DRAIN_POLL)
 
     # -- result collection ----------------------------------------------
 
     def _collect(self, state: RunState, queue: JobQueue,
-                 ordered: List[JobSpec]) -> None:
-        for spec in ordered:
+                 store: ResultStore) -> None:
+        for spec in state.pending:
             key = state.keys[spec]
             outcome = queue.outcome(key)
             if outcome is None:
@@ -142,7 +135,7 @@ class WorkerBackend(ExecutionBackend):
                     worker=worker, attempts=attempts,
                     error=outcome.get("error") or "failed on a worker")
                 continue
-            rows = state.store.get(key)
+            rows = store.get(key)
             if rows is None:
                 state.records[spec] = state.record(
                     spec, key, STATUS_FAILED, worker=worker,

@@ -12,16 +12,16 @@ after every scheduler run.  Schema (see docs/harness.md):
       "jobs": [
         {"artefact": "fig2", "workload": "li", "scale": 0.1,
          "params": {}, "key": "ab12...", "status": "hit|computed|failed",
-         "wall_time": 0.41, "worker": 12345, "attempts": 1,
+         "wall_time": 0.41, "worker": "host:12345", "attempts": 1,
          "error": null}
       ],
       "totals": {"jobs": 180, "hits": 162, "computed": 18,
                  "failed": 0, "wall_time": 12.3}
     }
 
-``worker`` attributes the cell to whoever executed it: a pid for forked
-children, a ``host:pid`` string for queue workers (which may live on
-another machine), ``null`` for in-process execution.
+``worker`` attributes the cell to the queue worker that executed it, as
+``host:pid`` (it may live on another machine), or ``null`` for
+in-process execution.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import uuid
 from datetime import datetime
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 STATUS_HIT = "hit"
 STATUS_COMPUTED = "computed"
@@ -41,10 +41,6 @@ STATUS_FAILED = "failed"
 
 #: per-cell progress callback fired as records are created
 ProgressFn = Callable[["JobRecord"], None]
-
-#: who executed a cell: forked-child pid, queue-worker ``host:pid``
-#: string, or None for in-process execution
-WorkerRef = Optional[Union[int, str]]
 
 
 @dataclass
@@ -58,7 +54,7 @@ class JobRecord:
     key: str
     status: str
     wall_time: float = 0.0
-    worker: WorkerRef = None
+    worker: Optional[str] = None    # queue worker host:pid; None inline
     attempts: int = 1
     error: Optional[str] = None     # traceback text for failed jobs
 
@@ -111,9 +107,9 @@ class RunManifest:
     def by_worker(self) -> Dict[str, int]:
         """Computed-cell counts per executing worker.
 
-        Keys are the manifest's worker references rendered as strings
-        (pid, ``host:pid``, or ``inline`` for in-process cells) — the
-        queue backend's per-worker attribution at a glance.
+        Keys are the executing workers' ``host:pid`` (``inline`` for
+        in-process cells; older manifests may hold bare pids) —
+        per-worker attribution at a glance.
         """
         counts: Dict[str, int] = {}
         for job in self.jobs:

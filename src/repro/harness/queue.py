@@ -12,14 +12,17 @@ drain cooperatively:
 
 The protocol is lock-free and crash-tolerant:
 
-* **Claiming** a job creates its lease sidecar with ``O_CREAT|O_EXCL`` —
-  an atomic test-and-set on POSIX filesystems — recording the owner id
-  (``host:pid``) and a wall-clock deadline.  A job with a live lease is
-  never claimed twice.
+* **Claiming** a job stages its lease sidecar — owner id (``host:pid``)
+  and wall-clock deadline — and hard-links it into place: ``os.link`` is
+  an atomic test-and-set on POSIX filesystems, and no reader ever sees a
+  half-written lease.  A job with a live lease is never claimed twice.
+* **Renewing** is the heartbeat: while its job runs, the owner pushes
+  the deadline ``lease_ttl`` seconds out every ``lease_ttl / 3``.
 * **Reclaiming**: a lease whose deadline has passed, or whose owner pid
   is gone (same-host crash detection via ``kill(pid, 0)``), is *stolen*
   by renaming it to a per-claimant tombstone — exactly one of several
-  racing claimants wins the rename — before the winner re-creates it.
+  racing claimants moves the stale lease it judged — before the winner
+  re-creates it.
 * **Completion** writes rows to the content-addressed
   :class:`~repro.harness.store.ResultStore` (atomic, last-writer-wins,
   byte-identical payloads) and then the ``done`` marker, so a result is
@@ -47,9 +50,10 @@ from typing import List, Optional, Sequence
 
 from repro.harness.jobs import JobSpec
 
-#: default seconds before an unrenewed lease may be reclaimed; generous
-#: because same-host worker death is detected by pid, not deadline
-DEFAULT_LEASE_TTL = 300.0
+#: default seconds before an unrenewed lease may be reclaimed; a live
+#: worker renews it every third of that, so only a dead (or stalled)
+#: worker's lease runs out
+DEFAULT_LEASE_TTL = 30.0
 
 
 def default_worker_id() -> str:
@@ -164,8 +168,9 @@ class JobQueue:
         its worker still reaches a terminal state.
         """
         worker_id = worker_id or default_worker_id()
+        done = set(self._keys_in("done"))
         for key in self.job_keys():
-            if self._done_path(key).exists():
+            if key in done:
                 continue
             state = self._read_json(self._state_path(key)) or {}
             if state.get("not_before", 0.0) > time.time():
@@ -207,6 +212,17 @@ class JobQueue:
                           else state.get("error")})
         self._remove(self._lease_path(key))
 
+    def renew(self, key: str, worker: str) -> bool:
+        """Push the lease's deadline ``lease_ttl`` seconds out; False,
+        writing nothing, when ``worker`` no longer owns the lease."""
+        path = self._lease_path(key)
+        lease = self._read_json(path)
+        if lease is None or lease.get("owner") != worker:
+            return False
+        lease["deadline"] = time.time() + self.lease_ttl
+        self._write_json(path, lease)
+        return True
+
     def complete(self, key: str, worker: str, elapsed: float = 0.0,
                  attempts: int = 1) -> None:
         """Mark a leased job done (its rows are already in the store)."""
@@ -218,11 +234,12 @@ class JobQueue:
         self._remove(self._lease_path(key))
 
     def finish_failed(self, key: str, error: str, attempts: int,
-                      worker: Optional[str] = None) -> None:
+                      worker: Optional[str] = None,
+                      elapsed: float = 0.0) -> None:
         """Record a terminal failure (retry budget exhausted)."""
         self._write_json(self._done_path(key),
                          {"status": "failed", "worker": worker,
-                          "elapsed": 0.0, "attempts": attempts,
+                          "elapsed": round(elapsed, 6), "attempts": attempts,
                           "error": error})
         self._remove(self._state_path(key))
         self._remove(self._lease_path(key))
@@ -239,44 +256,63 @@ class JobQueue:
         return True
 
     def _acquire_lease(self, key: str, worker_id: str) -> bool:
+        """Lease ``key`` to ``worker_id``, stealing a stale lease.  It is
+        staged in full and linked into place, so none is ever read
+        half-written (and taken for a torn one)."""
         path = self._lease_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         now = time.time()
-        payload = {"owner": worker_id, "host": self._host,
-                   "pid": os.getpid(), "acquired": now,
-                   "deadline": now + self.lease_ttl}
+        existing = self._read_json(path)
+        if existing is not None and self._lease_live(existing, now):
+            return False  # the common case: skip without writing
+        staged = path.with_name(f".{path.name}.{os.getpid()}.lease")
+        self._write_json(staged, {"owner": worker_id, "host": self._host,
+                                  "pid": os.getpid(), "acquired": now,
+                                  "deadline": now + self.lease_ttl})
         try:
-            fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            if self._link(staged, path):
+                return True
             existing = self._read_json(path)
             if existing is not None and self._lease_live(existing, now):
                 return False
-            # Stale (expired, dead owner, or torn): steal via rename so
-            # exactly one of several racing claimants proceeds.
+            # Stale (expired, dead owner, or unreadable): move it aside
+            # so exactly one of several racing claimants proceeds.
             tomb = path.with_name(f".steal.{key}.{os.getpid()}")
             try:
                 os.replace(path, tomb)
             except FileNotFoundError:
                 return False  # a racing claimant already stole it
+            if self._read_json(tomb) != existing:
+                # A racer stole the stale lease and re-leased the job
+                # between our read and our move: put its lease back.
+                self._link(tomb, path)
+                self._remove(tomb)
+                return False
             self._remove(tomb)
-            try:
-                fd = os.open(str(path),
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                return False  # and re-leased it before we could
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+            return self._link(staged, path)
+        finally:
+            self._remove(staged)
+
+    @staticmethod
+    def _link(source: Path, target: Path) -> bool:
+        """Create ``target`` as a hard link to ``source`` unless it exists."""
+        try:
+            os.link(source, target)
+        except FileExistsError:
+            return False
         return True
 
     # -- introspection ---------------------------------------------------
 
-    def job_keys(self) -> List[str]:
-        jobs_dir = self.root / "jobs"
-        if not jobs_dir.is_dir():
+    def _keys_in(self, sub: str) -> List[str]:
+        """The keys with a sidecar in ``sub`` (one directory listing)."""
+        try:
+            names = os.listdir(self.root / sub)
+        except FileNotFoundError:
             return []
-        return sorted(path.stem for path in jobs_dir.glob("*.json"))
+        return sorted(name[:-5] for name in names if name.endswith(".json"))
+
+    def job_keys(self) -> List[str]:
+        return self._keys_in("jobs")
 
     def outcome(self, key: str) -> Optional[dict]:
         """The terminal outcome of ``key`` (None while still pending)."""
@@ -288,8 +324,8 @@ class JobQueue:
     def remaining(self, keys: Optional[Sequence[str]] = None) -> List[str]:
         """Keys without a terminal outcome yet (subset of ``keys``)."""
         candidates = sorted(keys) if keys is not None else self.job_keys()
-        return [key for key in candidates
-                if not self._done_path(key).exists()]
+        done = set(self._keys_in("done"))
+        return [key for key in candidates if key not in done]
 
     def stats(self) -> dict:
         """Queue census: jobs / done / failed / leased / ready counts."""

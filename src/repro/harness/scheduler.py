@@ -4,29 +4,18 @@ The scheduler owns everything that must be identical no matter where
 jobs execute — deduplication, store-key computation, cache lookups,
 manifest records and aggregation bookkeeping — and delegates the actual
 running to an :mod:`execution backend <repro.harness.backends>`:
-
-* ``inline`` (``workers=0``): jobs run serially in the calling process;
-  this is what plain ``python -m repro summary`` uses.
-* ``fork`` (``workers>=1``, the default): one crash-isolated forked
-  child per job with per-job timeout, SIGTERM→SIGKILL escalation and
-  bounded retry.
-* ``worker``: jobs are serialized into a persistent leased work queue
-  (``repro.harness.queue``) and drained by worker processes — spawned
-  locally, or running standalone on any host that shares the store
-  directory (``python -m repro.harness worker``).
-
-Because rows always travel through the same store serialization and are
-recomposed in the same paper order, all backends produce byte-identical
-reports for the same grid.  Retry pacing is key-derived (hashed from the
-job identity, see ``backends.base.retry_backoff_delay``), so even retry
-schedules are reproducible across backends.
+``inline`` in this process (``workers=0``), or queue workers on a queue
+the run owns (``fork``, the default otherwise) or on a persistent one
+that workers on other hosts can join (``worker``).  Because rows always
+travel through the same store serialization and are recomposed in the
+same paper order, all backends produce byte-identical reports for the
+same grid.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from typing import Dict, List, Optional
 
 from repro.harness.backends import (
@@ -79,6 +68,9 @@ class Scheduler:
         if backend is not None and backend not in BACKEND_NAMES:
             raise ValueError(f"unknown execution backend {backend!r}; "
                              f"known: {', '.join(BACKEND_NAMES)}")
+        if backend == "fork" and workers == 0:
+            raise ValueError("the fork backend needs workers >= 1: "
+                             "nothing else can reach the queue it owns")
         self.workers = workers
         self.timeout = timeout
         self.retries = retries
@@ -112,14 +104,14 @@ class Scheduler:
         results: Dict[JobSpec, list] = {}
         records: Dict[JobSpec, JobRecord] = {}
 
-        pending: deque = deque()
+        pending: List[JobSpec] = []
         for spec in unique:
             cached = store.get(keys[spec]) if (store and use_cache) else None
             if cached is not None:
                 results[spec] = cached
                 records[spec] = self._record(spec, keys[spec], STATUS_HIT)
             else:
-                pending.append((spec, 1, 0.0))
+                pending.append(spec)
 
         if pending:
             backend = make_backend(
@@ -140,7 +132,7 @@ class Scheduler:
     # -- record helpers --------------------------------------------------
 
     def _record(self, spec: JobSpec, key: str, status: str,
-                wall_time: float = 0.0, worker=None,
+                wall_time: float = 0.0, worker: Optional[str] = None,
                 attempts: int = 1, error: Optional[str] = None) -> JobRecord:
         record = JobRecord(
             artefact=spec.artefact, workload=spec.workload, scale=spec.scale,

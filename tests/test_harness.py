@@ -263,7 +263,8 @@ class TestCaching:
         assert outcome.manifest.backend == "fork"
         loaded = RunManifest.load(path)
         assert loaded.backend == "fork"
-        assert all(isinstance(job.worker, int) for job in loaded.jobs)
+        assert all(isinstance(job.worker, str) and ":" in job.worker
+                   for job in loaded.jobs)  # the queue worker's host:pid
         assert sum(loaded.by_worker().values()) == 2
 
         inline = run_artefacts([("fig2", SCALE)], ["li"], workers=0).manifest

@@ -1,6 +1,6 @@
-"""Tests for the leased work queue, the worker loop and the worker
-execution backend — including the parallel==serial byte-identity
-guarantee across all three backends."""
+"""Tests for the leased work queue, the worker loop and the queue
+execution backends — including the parallel==serial byte-identity
+guarantee across all three backends and the failure-model drills."""
 
 from __future__ import annotations
 
@@ -8,7 +8,12 @@ import json
 import multiprocessing
 import os
 import signal
+import sys
+import tempfile
 import time
+from contextlib import contextmanager
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +26,7 @@ from repro.harness import (
     run_artefacts,
     worker_loop,
 )
-from repro.harness.jobs import JobSpec, make_job
+from repro.harness.jobs import JobSpec, make_job, set_injection_hook
 from repro.harness.manifest import STATUS_COMPUTED, STATUS_FAILED
 from repro.harness.queue import DEFAULT_LEASE_TTL, default_worker_id
 from repro.harness.worker import poll_delay
@@ -39,6 +44,69 @@ def _enqueue(queue, store, workload="li"):
     key = store.key_for(spec)
     queue.enqueue(spec, key)
     return spec, key
+
+
+def _note_and_sleep(log, seconds, spec):
+    """Injection hook: append ``pid ppid start`` of the process running
+    the job to ``log``, then sleep ``seconds``."""
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()} {os.getppid()} {time.monotonic()}\n")
+    time.sleep(seconds)
+
+
+def _kill_the_lease_owner_once(queue_root, key, log, spec):
+    """Injection hook: append ``pid lease-owner start`` to ``log``; the
+    first attempt then SIGKILLs the worker holding its lease.  Every
+    attempt sleeps 1 s."""
+    owner = JobQueue(queue_root).lease_info(key)["pid"]
+    first = not _attempts(log)
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()} {owner} {time.monotonic()}\n")
+    if first:
+        os.kill(owner, signal.SIGKILL)
+    time.sleep(1.0)
+
+
+def _attempts(log):
+    """The complete lines an injection hook has appended to ``log``."""
+    try:
+        text = log.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return []
+    return text.splitlines()[:text.count("\n")]
+
+
+@contextmanager
+def _hooked(hook):
+    previous = set_injection_hook(hook)
+    try:
+        yield
+    finally:
+        set_injection_hook(previous)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, a block still running after ``seconds``."""
+    def _expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _running(pid):
+    """Whether ``pid`` is alive; a zombie awaiting its reaper is not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +237,19 @@ class TestLeaseLifecycle:
     def test_rejects_nonpositive_ttl(self, tmp_path):
         with pytest.raises(ValueError, match="lease_ttl"):
             JobQueue(tmp_path, lease_ttl=0)
+
+    def test_renewed_lease_outlives_its_ttl_for_its_owner_only(
+            self, tmp_path):
+        queue = JobQueue(tmp_path / "q", lease_ttl=0.2)
+        _, key = _enqueue(queue, ResultStore(tmp_path / "s"))
+        assert queue.claim("w1") is not None
+        for _ in range(5):  # 0.5 s in all, well past one TTL
+            time.sleep(0.1)
+            assert queue.renew(key, "w1")
+            assert queue.claim("w2") is None
+        assert not queue.renew(key, "w2")  # only the owner renews
+        queue.release(key)
+        assert not queue.renew(key, "w1")  # nothing left to renew
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +401,8 @@ class TestWorkerBackendFailures:
 
     def test_crashed_and_raising_cells_fail_without_sinking_the_drain(
             self, tmp_path):
-        """One cell raises, one SIGKILLs its worker mid-job; both end up
-        terminally failed while the healthy cells complete."""
+        """One cell raises, one kills the child running it mid-job; both
+        end up terminally failed while the healthy cells complete."""
         store = ResultStore(tmp_path)
         outcome = run_artefacts(
             [("boom", 1.0)],
@@ -333,8 +414,7 @@ class TestWorkerBackendFailures:
         assert set(failed) == {helpers.RAISING_WORKLOAD,
                                helpers.DYING_WORKLOAD}
         assert "injected failure" in failed[helpers.RAISING_WORKLOAD].error
-        assert ("retry budget exhausted"
-                in failed[helpers.DYING_WORKLOAD].error)
+        assert "worker died" in failed[helpers.DYING_WORKLOAD].error
         assert [r.abbrev for r in outcome.rows("boom")] == ["li", "com"]
         assert outcome.runs[0].failed == [helpers.RAISING_WORKLOAD,
                                           helpers.DYING_WORKLOAD]
@@ -369,6 +449,119 @@ class TestWorkerBackendFailures:
             alive.terminate()
             alive.join()
             dead.join(1)
+
+
+# ---------------------------------------------------------------------------
+# one failure model: drills through the queue workers' per-claim children
+
+
+def _run_cli(tmpdir, argv):
+    """Forked-process body: ``python -m repro`` with its TMPDIR at
+    ``tmpdir``."""
+    from repro.harness.__main__ import run_main
+
+    tempfile.tempdir = tmpdir
+    sys.exit(run_main(argv))
+
+
+class TestQueueWorkerFailureModel:
+    def test_job_outliving_its_lease_ttl_runs_once(self, tmp_path):
+        """The heartbeat keeps a live worker's lease: a 2 s job under a
+        0.5 s TTL is neither stolen nor charged a second attempt."""
+        log = tmp_path / "attempts.log"
+        with _hooked(partial(_note_and_sleep, log, 2.0)), _deadline(60):
+            outcome = run_artefacts([("fig2", SCALE)], ["li"], workers=2,
+                                    backend="worker", lease_ttl=0.5,
+                                    store=ResultStore(tmp_path / "s"))
+        [record] = outcome.manifest.jobs
+        assert record.status == STATUS_COMPUTED, record.error
+        assert record.attempts == 1
+        assert len(_attempts(log)) == 1  # ran once, in one process
+
+    def test_hung_job_is_killed_at_its_timeout(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setitem(ARTEFACTS, "boom", BOOM)
+        started = time.monotonic()
+        with _deadline(60):
+            outcome = run_artefacts(
+                [("boom", 1.0)], ["li", helpers.HANGING_WORKLOAD],
+                workers=2, retries=0, timeout=1, term_grace=0.2,
+                backend="worker", store=ResultStore(tmp_path),
+                allow_failures=True)
+        assert time.monotonic() - started < 20
+        failed = outcome.manifest.failed
+        assert [f.workload for f in failed] == [helpers.HANGING_WORKLOAD]
+        assert "timed out after 1s" in failed[0].error
+        assert [r.abbrev for r in outcome.rows("boom")] == ["li"]
+
+    def test_killed_workers_lease_is_reclaimed_and_its_child_dies(
+            self, tmp_path):
+        """SIGKILL one local worker mid-job: the survivor reclaims the
+        lease as soon as the drain poll reaps the dead owner (not after
+        the TTL), completes the cell, and the dead worker's per-claim
+        child goes with it."""
+        log = tmp_path / "attempts.log"
+        queue = JobQueue(tmp_path / "q")
+        store = ResultStore(tmp_path / "s")
+        key = store.key_for(make_job("fig2", "li", SCALE))
+        hook = partial(_kill_the_lease_owner_once, queue.root, key, log)
+        with _hooked(hook), _deadline(60):
+            outcome = run_artefacts([("fig2", SCALE)], ["li"], workers=2,
+                                    backend="worker", store=store,
+                                    queue_dir=queue.root)
+        [record] = outcome.manifest.jobs
+        assert record.status == STATUS_COMPUTED, record.error
+        assert record.attempts == 2  # the killed attempt counted
+        (child, killed, killed_at), (_, survivor, restarted_at) = [
+            line.split() for line in _attempts(log)]
+        assert record.worker.rpartition(":")[2] == survivor != killed
+        assert float(restarted_at) - float(killed_at) < DEFAULT_LEASE_TTL / 10
+        give_up = time.monotonic() + 5
+        while _running(int(child)) and time.monotonic() < give_up:
+            time.sleep(0.01)
+        assert not _running(int(killed))
+        assert not _running(int(child))
+
+    def test_sigterm_stops_the_run_its_workers_and_their_children(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setitem(ARTEFACTS, "boom", BOOM)
+        run_tmp = tmp_path / "tmp"
+        run_tmp.mkdir()
+        log = tmp_path / "attempts.log"
+        ctx = multiprocessing.get_context("fork")
+        with _hooked(partial(_note_and_sleep, log, 3600)):
+            run = ctx.Process(target=_run_cli, args=(str(run_tmp), [
+                "boom", "--workloads", "li", "com", "--workers", "2",
+                "--exec-backend", "fork", "--quiet"]))
+            run.start()
+        pids = []
+        try:
+            give_up = time.monotonic() + 30
+            while len(_attempts(log)) < 2:  # both workers are mid-job
+                assert time.monotonic() < give_up, "jobs never started"
+                time.sleep(0.01)
+            pids = [int(pid) for line in _attempts(log)
+                    for pid in line.split()[:2]]  # children and workers
+            os.kill(run.pid, signal.SIGTERM)
+            run.join(30)
+            assert run.exitcode == 128 + signal.SIGTERM
+            assert [pid for pid in pids if _running(pid)] == []
+            assert list(run_tmp.iterdir()) == []
+        finally:
+            for pid in [run.pid] + pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            run.join()
+
+    def test_fork_run_without_a_store_leaves_nothing_behind(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        outcome = run_artefacts([("fig2", SCALE)], ["li", "com"],
+                                workers=2, backend="fork")
+        assert (fig2.render(outcome.rows("fig2"))
+                == fig2.render(fig2.run(scale=SCALE,
+                                        workloads=["li", "com"])))
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +636,22 @@ class TestQueueCLI:
         assert harness_main(["enqueue", "nope",
                              "--store", str(tmp_path)]) == 2
         assert "unknown artefact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["worker", "--retries", "-1"],
+        ["worker", "--max-jobs", "0"],
+        ["worker", "--lease-ttl", "0"],
+        ["worker", "--lease-ttl", "-1"],
+        ["worker", "--poll", "0"],
+        ["run", "fig5", "--timeout", "0"],
+    ])
+    def test_bad_numeric_options_are_usage_errors(self, argv, tmp_path,
+                                                  capsys):
+        from repro.harness.__main__ import main as harness_main
+
+        where = (["--queue", str(tmp_path / "q")] if argv[0] == "worker"
+                 else ["--scale", "0.1", "--workloads", "li", "com"])
+        with pytest.raises(SystemExit) as exited:
+            harness_main(argv + where + ["--store", str(tmp_path / "s")])
+        assert exited.value.code == 2
+        assert f"error: argument {argv[-2]}" in capsys.readouterr().err

@@ -521,7 +521,7 @@ def _copy_real(tmp_path, rel, extra=""):
 
 def test_real_serve_and_harness_modules_are_clean(tmp_path):
     for rel in ("repro/serve/server.py", "repro/harness/worker.py",
-                "repro/harness/backends/fork.py"):
+                "repro/harness/backends/worker.py"):
         report = _copy_real(tmp_path, rel)
         assert rule_ids(report) == [], rel
 
