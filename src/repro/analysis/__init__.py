@@ -23,10 +23,9 @@ independent, trace-free check of that claim:
   raising ``verify_program`` hook used by ``Workload.program(verify=True)``;
 * ``python -m repro.analysis`` — the lint CLI (see docs/analysis.md).
 
-``repro.experiments.ext_static_ddt`` closes the loop by measuring how
-much of the *dynamic* DDT pair stream the static sets cover, and
-``repro.experiments.ext_static_distance`` replays the dynamic distance
-measurements against the static bounds (soundness + tightness).
+``repro.experiments.ext_static_distance`` closes the loop: it replays
+the *dynamic* DDT pair stream and distance measurements against the
+static pair sets and bounds (soundness + tightness).
 """
 
 from repro.analysis.cfg import CFG, BasicBlock, build_cfg

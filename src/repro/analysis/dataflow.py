@@ -150,7 +150,7 @@ def transfer(inst: Instruction, state: List[tuple]) -> None:
             # Pointer plus a computed (loop-variant) index: still a pointer
             # into the same region, at an unknown offset.  This assumes the
             # index keeps the access in bounds — the assumption the
-            # ext_static_ddt cross-validation measures empirically.
+            # ext_static_distance soundness gate checks empirically.
             result = ptr(a[1] if is_ptr(a) else b[1], None)
         elif opcode == "sub" and is_ptr(a):
             result = ptr(a[1], None)

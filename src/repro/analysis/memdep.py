@@ -22,7 +22,7 @@ can touch a common word.  Static RAR pairs are all ordered load pairs
 static RAW pairs all store→load pairs that may alias.  The approximation
 is one-sided by construction: it over-counts (no path or intervening
 -store reasoning) but should never miss a dynamically observable pair —
-``repro.experiments.ext_static_ddt`` measures exactly that.
+``repro.experiments.ext_static_distance`` checks exactly that.
 
 :func:`may_alias` itself supports two granularities.  The default is the
 *byte* intervals the descriptors carry — precise for subword accesses,

@@ -291,9 +291,9 @@ def store_drill(seed: int = DEFAULT_SEED,
 def harness_drill(seed: int = DEFAULT_SEED,
                   timeout: float = 2.0) -> DrillResult:
     """Sabotaged workers must fail their own cell and nothing else."""
-    from repro.harness.jobs import make_job, set_injection_hook
+    from repro.harness.api import run_artefacts
+    from repro.harness.jobs import set_injection_hook
     from repro.harness.manifest import STATUS_COMPUTED, STATUS_FAILED
-    from repro.harness.scheduler import Scheduler
 
     sabotage = {"li": "crash", "com": "hang", "go": "slow-start"}
     expectations = {
@@ -301,17 +301,18 @@ def harness_drill(seed: int = DEFAULT_SEED,
         "com": ("timed out", STATUS_FAILED),
         "go": ("", STATUS_COMPUTED),
     }
-    jobs = [make_job("analysis", abbrev, 0.05) for abbrev in sabotage]
-    scheduler = Scheduler(workers=2, timeout=timeout, retries=0,
-                          term_grace=0.3, retry_backoff=0.0)
     previous = set_injection_hook(worker_saboteur(sabotage, delay=0.2))
     try:
-        run = scheduler.run(jobs, store=None)
+        outcome = run_artefacts(
+            [("analysis", 0.05)], list(sabotage), workers=2,
+            timeout=timeout, retries=0, term_grace=0.3, retry_backoff=0.0,
+            allow_failures=True)
     finally:
         set_injection_hook(previous)
 
     result = DrillResult("harness", cases=0, graceful=0)
-    records = {record.workload: record for record in run.manifest.jobs}
+    records = {record.workload: record
+               for record in outcome.manifest.jobs}
     for abbrev, (needle, status) in expectations.items():
         result.cases += 1
         record = records.get(abbrev)

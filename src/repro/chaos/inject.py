@@ -277,7 +277,7 @@ def worker_saboteur(faults: Mapping[str, str],
     """An ``execute_job`` hook mapping workload abbreviations to sabotage.
 
     ``crash`` hard-exits the worker, ``hang`` ignores SIGTERM and sleeps
-    (provoking the scheduler's SIGKILL escalation), ``slow-start`` sleeps
+    (provoking the queue worker's SIGKILL escalation), ``slow-start`` sleeps
     ``delay`` seconds then proceeds normally.  Install with
     :func:`repro.harness.jobs.set_injection_hook`; the forked per-claim
     children of queue workers inherit it.

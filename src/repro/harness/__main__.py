@@ -22,8 +22,11 @@ fails, 2 on a usage error.
 a grid's cache-miss cells into a persistent queue directory, and any
 number of workers — on this host or any host sharing the queue and
 store directories — lease and execute them.  ``run --exec-backend
-worker --workers 0`` enqueues and waits for external workers only.
-SIGTERM to ``run`` stops its workers and exits with status 143.
+worker --workers 0`` enqueues and waits for external workers only.  A
+queued job carries its retry budget and timeout — ``run``'s
+``--retries`` and ``--timeout``, ``enqueue``'s defaults (1 retry, no
+timeout) — so every worker that claims it applies them.  SIGTERM to
+``run`` stops its workers and exits with status 143.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.harness.backends import BACKEND_NAMES
-from repro.harness.jobs import load_experiment_module
+from repro.harness.jobs import JobPolicy, load_experiment_module
 from repro.harness.manifest import STATUS_HIT, JobRecord, RunManifest
 from repro.harness.registry import ARTEFACTS, get_artefact
 from repro.harness.store import (
@@ -100,9 +103,10 @@ def _run_arguments(run: argparse.ArgumentParser, inline: bool) -> None:
                           + ("" if inline else "cpu count; ")
                           + "0 = run inline)")
     run.add_argument("--timeout", type=seconds, default=None,
-                     help="per-job timeout in seconds, for fork and for "
-                          "worker's local workers (default: none)")
-    run.add_argument("--retries", type=_count(0), default=1,
+                     help="per-job timeout in seconds, applied by every "
+                          "queue worker that claims the job (default: "
+                          "none; inline runs have none)")
+    run.add_argument("--retries", type=_count(0), default=JobPolicy.retries,
                      help="retries per failed/crashed/timed-out job "
                           "(default %(default)s)")
     run.add_argument("--store", default=None if inline else str(DEFAULT_ROOT),
@@ -164,9 +168,6 @@ def _parser() -> argparse.ArgumentParser:
                        "execute them, write results to the store")
     worker.add_argument("--queue", required=True, metavar="DIR")
     worker.add_argument("--store", required=True, metavar="DIR")
-    worker.add_argument("--retries", type=_count(0), default=1,
-                        help="total retry budget per job, shared across "
-                             "all workers (default %(default)s)")
     worker.add_argument("--lease-ttl", type=seconds, default=None,
                         help="seconds a lease outlives this worker's last "
                              "heartbeat before it may be reclaimed "
@@ -213,13 +214,14 @@ def _cmd_run(args) -> int:
 
     name = "summary" if args.artefact == "all" else args.artefact
     if name not in ARTEFACTS and name not in ("summary", "report_card"):
-        print(f"unknown artefact {args.artefact!r}; known: "
+        print(f"error: unknown artefact {args.artefact!r}; known: "
               + ", ".join(ARTEFACTS) + ", report_card, summary, all",
               file=sys.stderr)
         return 2
     if args.backend is not None and name not in BACKEND_AWARE:
-        print(f"--backend applies only to: {', '.join(sorted(BACKEND_AWARE))}"
-              f" (got artefact {name!r})", file=sys.stderr)
+        print(f"error: --backend applies only to: "
+              f"{', '.join(sorted(BACKEND_AWARE))} (got artefact {name!r})",
+              file=sys.stderr)
         return 2
     scale = DEFAULT_SCALE if args.scale is None else args.scale
     if name == "summary":
@@ -306,12 +308,13 @@ def _cmd_enqueue(args) -> int:
     from repro.harness.jobs import expand_jobs
 
     if args.artefact not in ARTEFACTS:
-        print(f"unknown artefact {args.artefact!r}; known: "
+        print(f"error: unknown artefact {args.artefact!r}; known: "
               + ", ".join(ARTEFACTS), file=sys.stderr)
         return 2
     if args.backend is not None and args.artefact not in BACKEND_AWARE:
-        print(f"--backend applies only to: {', '.join(sorted(BACKEND_AWARE))}"
-              f" (got artefact {args.artefact!r})", file=sys.stderr)
+        print(f"error: --backend applies only to: "
+              f"{', '.join(sorted(BACKEND_AWARE))} "
+              f"(got artefact {args.artefact!r})", file=sys.stderr)
         return 2
     scale = DEFAULT_SCALE if args.scale is None else args.scale
     params = {"backend": args.backend} if args.backend else None
@@ -342,8 +345,7 @@ def _cmd_worker(args) -> int:
     queue = _queue_for(args, store)
     say = None if args.quiet else (
         lambda message: print(f"  {message}", file=sys.stderr))
-    stats = worker_loop(queue, store, retries=args.retries, poll=args.poll,
-                        max_jobs=args.max_jobs,
+    stats = worker_loop(queue, store, poll=args.poll, max_jobs=args.max_jobs,
                         keep_alive=args.keep_alive, progress=say)
     print(f"worker {stats.worker_id}: {stats.claimed} claimed, "
           f"{stats.completed} completed, {stats.failed} failed attempts",

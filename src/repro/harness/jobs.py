@@ -6,19 +6,25 @@ are independent — so the whole evaluation decomposes into a grid of
 :class:`JobSpec` cells that can execute in any order on any worker, with
 the aggregate recomposed by concatenating each artefact's per-workload
 rows in paper order (exactly what the serial loop produced).
+
+How a job is run — its timeout, retry budget, kill grace and retry
+backoff — is one :class:`JobPolicy`.  A queued job carries its policy in
+its queue file, so every worker that claims it applies the run's
+settings.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.harness.registry import get_artefact
+from repro.util.hashing import stable_hash
 
 #: Pre-execution hook invoked with the JobSpec inside the executing
 #: process (worker or inline).  Fork workers inherit it, so a hook set in
-#: the parent before ``Scheduler.run`` fires inside each child — this is
+#: the parent before ``run_artefacts`` fires inside each child — this is
 #: the seam the chaos subsystem (and the harness tests) use to sabotage
 #: workers: crash, hang, or delay a cell without touching experiment code.
 # staticcheck: ignore[FS101] deliberate cross-fork seam — inheriting the
@@ -96,6 +102,67 @@ class JobSpec:
             for key, value in data["params"])
         return cls(artefact=data["artefact"], workload=data["workload"],
                    scale=float(data["scale"]), params=params)
+
+
+@dataclass(frozen=True)
+class JobPolicy:
+    """How every attempt at a job runs, wherever it runs.
+
+    ``timeout`` (seconds, None for none) bounds each attempt; a job is
+    tried at most ``retries + 1`` times in total, across all workers;
+    a timed-out attempt gets ``term_grace`` seconds between SIGTERM and
+    SIGKILL; retry N waits about ``retry_backoff * 2**(N-1)`` seconds.
+    """
+
+    timeout: Optional[float] = None
+    retries: int = 1
+    term_grace: float = 5.0
+    retry_backoff: float = 0.1
+
+    def __post_init__(self) -> None:
+        if self.timeout is not None and not self.timeout > 0:
+            raise ValueError("timeout must be > 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.term_grace < 0:
+            raise ValueError("term_grace must be >= 0")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff must be >= 0")
+
+    @property
+    def attempts(self) -> int:
+        """The attempt budget: ``retries + 1``."""
+        return self.retries + 1
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, data: Optional[dict]) -> "JobPolicy":
+        """The policy :meth:`to_json` wrote; the defaults for None."""
+        return cls(**(data or {}))
+
+
+def retry_backoff_delay(spec: JobSpec, attempts: int, base: float) -> float:
+    """Delay before retry ``attempts + 1`` of ``spec``.
+
+    Exponential in the attempt count with deterministic jitter hashed
+    from the job's serialized identity — *all* of it, params included, so
+    two cells differing only in params do not retry in lockstep, and the
+    same cell backs off identically no matter which process or host is
+    retrying it.
+    """
+    if base <= 0:
+        return 0.0
+    scale = base * (2 ** (attempts - 1))
+    frac = int(stable_hash((spec.to_json(), attempts), length=8), 16)
+    return scale * (0.5 + 0.5 * frac / 0xFFFFFFFF)
+
+
+#: how an execution path reports one job's outcome:
+#: ``settle(spec, rows, wall_time, worker=..., attempts=..., error=...)``,
+#: with ``rows`` None for a failed job
+SettleFn = Callable[..., None]
 
 
 def make_job(artefact: str, workload: str, scale: float,

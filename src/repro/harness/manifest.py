@@ -1,7 +1,7 @@
 """The run manifest: what happened, cell by cell.
 
 Written as JSON next to the store (``<store>/manifests/run-<id>.json``)
-after every scheduler run.  Schema (see docs/harness.md):
+after every ``run_artefacts`` call.  Schema (see docs/harness.md):
 
     {
       "run_id": "20260805-143022.518200-1a2b3c",
@@ -65,7 +65,7 @@ class JobRecord:
 
 @dataclass
 class RunManifest:
-    """One scheduler run: per-job records plus aggregate totals."""
+    """One run: per-job records plus aggregate totals."""
 
     run_id: str = ""
     created: str = ""

@@ -5,7 +5,8 @@ of worker processes — on one host or many hosts sharing the filesystem —
 drain cooperatively:
 
     queue/
-      jobs/<key>.json     the serialized JobSpec (key = store key)
+      jobs/<key>.json     the serialized JobSpec and JobPolicy (key =
+                          store key)
       leases/<key>.json   owner + deadline sidecar of the executing worker
       state/<key>.json    retry bookkeeping (attempts, backoff, last error)
       done/<key>.json     terminal outcome (ok -> rows are in the store)
@@ -30,8 +31,8 @@ The protocol is lock-free and crash-tolerant:
 * **Retry accounting** lives in the ``state`` sidecar and is only ever
   written by the lease holder: each claim increments ``attempts``, so an
   attempt that died with its worker is still counted, and a claimant
-  that finds the budget exhausted finalizes the job as failed instead of
-  re-running it forever.
+  that finds the budget of the job's own policy exhausted finalizes the
+  job as failed instead of re-running it forever.
 
 Every sidecar write is write-to-temp + fsync + atomic ``os.replace`` —
 a killed writer leaves at worst a stale temp file, never a truncated
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.harness.jobs import JobSpec
+from repro.harness.jobs import JobPolicy, JobSpec
 
 #: default seconds before an unrenewed lease may be reclaimed; a live
 #: worker renews it every third of that, so only a dead (or stalled)
@@ -82,6 +83,7 @@ class Claim:
     key: str
     attempt: int        # 1-based: this claim is attempt number ``attempt``
     worker: str         # the owner id the lease was taken under
+    policy: JobPolicy   # how to run it, as the job was enqueued
 
 
 class JobQueue:
@@ -140,8 +142,10 @@ class JobQueue:
 
     # -- producing -------------------------------------------------------
 
-    def enqueue(self, spec: JobSpec, key: str) -> bool:
-        """Add one job; returns False when it was already queued.
+    def enqueue(self, spec: JobSpec, key: str,
+                policy: JobPolicy = JobPolicy()) -> bool:
+        """Add one job, to be run under ``policy`` by whichever worker
+        claims it; returns False when it was already queued.
 
         Re-enqueueing a key whose previous run finished resets its
         outcome and retry state, so a fresh sweep over the same grid
@@ -151,21 +155,22 @@ class JobQueue:
         self._remove(self._done_path(key))
         self._remove(self._state_path(key))
         self._write_json(self._job_path(key),
-                         {"key": key, "spec": spec.to_json()})
+                         {"key": key, "spec": spec.to_json(),
+                          "policy": policy.to_json()})
         return fresh
 
     # -- consuming -------------------------------------------------------
 
-    def claim(self, worker_id: Optional[str] = None,
-              max_attempts: Optional[int] = None) -> Optional[Claim]:
+    def claim(self, worker_id: Optional[str] = None) -> Optional[Claim]:
         """Lease the first claimable job, or None when nothing is ready.
 
         A job is claimable when it has no terminal outcome, is not
-        backing off, and carries no live lease.  When ``max_attempts`` is
-        given, a claimable job whose attempt budget is already spent is
-        finalized as failed (with the last recorded error) instead of
-        being returned — this is how a job whose final attempt died with
-        its worker still reaches a terminal state.
+        backing off, and carries no live lease.  A claimable job whose
+        policy's attempt budget is already spent is finalized as failed
+        (with the last recorded error) instead of being returned — this
+        is how a job whose final attempt died with its worker still
+        reaches a terminal state.  A job file without a policy (written
+        before jobs carried one) runs under the defaults.
         """
         worker_id = worker_id or default_worker_id()
         done = set(self._keys_in("done"))
@@ -185,7 +190,13 @@ class JobQueue:
                     or state.get("not_before", 0.0) > time.time()):
                 self._remove(self._lease_path(key))
                 continue
-            if max_attempts is not None and attempts >= max_attempts:
+            try:
+                policy = JobPolicy.from_json(job.get("policy"))
+            except (TypeError, ValueError) as exc:  # never crash claimants
+                self.finish_failed(key, error=f"malformed job policy: {exc}",
+                                   attempts=attempts, worker=worker_id)
+                continue
+            if attempts >= policy.attempts:
                 self.finish_failed(
                     key,
                     error=state.get("error")
@@ -198,7 +209,8 @@ class JobQueue:
                               "not_before": 0.0,
                               "error": state.get("error")})
             return Claim(spec=JobSpec.from_json(job["spec"]), key=key,
-                         attempt=attempts + 1, worker=worker_id)
+                         attempt=attempts + 1, worker=worker_id,
+                         policy=policy)
         return None
 
     def release(self, key: str, error: Optional[str] = None,

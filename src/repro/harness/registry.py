@@ -67,8 +67,6 @@ for _spec in (
                      "Extension: distances", 1.0),
         ArtefactSpec("ext_predictors", "repro.experiments.ext_predictors",
                      "Extension: predictors"),
-        ArtefactSpec("ext_static_ddt", "repro.experiments.ext_static_ddt",
-                     "Extension: static vs dynamic DDT"),
         ArtefactSpec("ext_static_distance",
                      "repro.experiments.ext_static_distance",
                      "Extension: static distance bounds"),

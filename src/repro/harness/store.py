@@ -19,7 +19,7 @@ objects and user-requested JSON exports share one format.
 A cached object that exists but cannot be decoded (truncation, bit rot,
 schema drift) is never served and never silently dropped: ``get`` moves
 it to ``<store>/quarantine/`` with a ``.reason`` sidecar, logs one warning
-per run, and reports a miss so the scheduler recomputes the cell.
+per run, and reports a miss so the run recomputes the cell.
 """
 
 from __future__ import annotations

@@ -8,10 +8,13 @@ the lease protocol (:mod:`repro.harness.queue`), writing results to the
 content-addressed store under the keys inline execution would use.
 
 Each claim runs in a forked per-claim child, so a job that raises, dies
-or hangs fails its own attempt and never the worker.  While the child
-runs, the worker renews the claim's lease every ``lease_ttl / 3`` (the
-heartbeat) and, past ``timeout`` on the monotonic clock, stops the child
-with SIGTERM, then SIGKILL after ``term_grace`` seconds.
+or hangs fails its own attempt and never the worker.  The claim carries
+the job's :class:`~repro.harness.jobs.JobPolicy`, written into the queue
+by whoever enqueued it: while the child runs, the worker renews the
+claim's lease every ``lease_ttl / 3`` (the heartbeat) and, past the
+policy's ``timeout`` on the monotonic clock, stops the child with
+SIGTERM, then SIGKILL after ``term_grace`` seconds.  A failed attempt is
+retried until the policy's budget is spent.
 
 A worker exits once every queued job has a terminal outcome; with
 ``keep_alive`` it keeps polling for new work (the long-running fleet).
@@ -28,8 +31,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
 
-from repro.harness.backends.base import BackendConfig, retry_backoff_delay
-from repro.harness.jobs import JobSpec, execute_job
+from repro.harness.jobs import (
+    JobPolicy,
+    JobSpec,
+    execute_job,
+    retry_backoff_delay,
+)
 from repro.harness.queue import Claim, JobQueue, default_worker_id
 from repro.harness.store import ResultStore
 
@@ -97,10 +104,6 @@ class WorkerStats:
 
 def worker_loop(queue: JobQueue, store: ResultStore, *,
                 worker_id: Optional[str] = None,
-                retries: int = 1,
-                retry_backoff: float = 0.1,
-                timeout: Optional[float] = None,
-                term_grace: float = BackendConfig.term_grace,
                 poll: float = DEFAULT_POLL,
                 max_jobs: Optional[int] = None,
                 keep_alive: bool = False,
@@ -108,38 +111,35 @@ def worker_loop(queue: JobQueue, store: ResultStore, *,
                 ) -> WorkerStats:
     """Drain ``queue`` into ``store``; returns this worker's tally.
 
-    ``retries`` bounds attempts per job exactly like the scheduler's
-    ``--retries``: a job is tried at most ``retries + 1`` times *in
-    total, across all workers* (the attempt count travels in the queue's
-    state sidecar, so a retry on another worker still counts).  Retry
-    backoff uses the shared key-derived jitter, so the schedule is
-    reproducible no matter which worker retries.  ``timeout`` (seconds,
-    None for none) bounds each attempt.  A worker stopped by SIGTERM
-    mid-job stops its child and *releases its held lease* on the way out.
+    Each job runs under the policy it was queued with: it is tried at
+    most ``retries + 1`` times *in total, across all workers* (the
+    attempt count travels in the queue's state sidecar, so a retry on
+    another worker still counts), each attempt bounded by ``timeout``.
+    Retry backoff uses the shared key-derived jitter, so the schedule is
+    reproducible no matter which worker retries.  A worker stopped by
+    SIGTERM mid-job stops its child and *releases its held lease* on the
+    way out.
     """
     worker_id = worker_id or default_worker_id()
     stats = WorkerStats(worker_id=worker_id)
-    policy = BackendConfig(timeout=timeout, retries=retries,
-                           term_grace=term_grace, retry_backoff=retry_backoff)
     say = progress or (lambda message: None)
     delay = poll_delay(worker_id, poll)
     with sigterm_exits():
         while True:
-            claim = queue.claim(worker_id, max_attempts=retries + 1)
+            claim = queue.claim(worker_id)
             if claim is None:
                 if not keep_alive and not queue.remaining():
                     break  # every queued job has a terminal outcome
                 time.sleep(delay)
                 continue
-            _run_claim(queue, store, claim, stats, policy, say)
+            _run_claim(queue, store, claim, stats, say)
             if max_jobs is not None and stats.claimed >= max_jobs:
                 break
     return stats
 
 
 def _run_claim(queue: JobQueue, store: ResultStore, claim: Claim,
-               stats: WorkerStats, policy: BackendConfig,
-               say: Callable[[str], None]) -> None:
+               stats: WorkerStats, say: Callable[[str], None]) -> None:
     """Run one leased job in a per-claim child and settle its lease.
 
     A failure in the worker itself (fork, pipe, heartbeat write) charges
@@ -148,21 +148,20 @@ def _run_claim(queue: JobQueue, store: ResultStore, claim: Claim,
     try:
         stats.claimed += 1
         error, elapsed = _attempt(queue, store, claim.spec, claim.key,
-                                  claim.worker, policy)
+                                  claim.worker, claim.policy)
     except (KeyboardInterrupt, SystemExit):
         # Interrupted mid-job: the child is already stopped; hand the
         # lease back (the claim already counted the attempt) and stop.
         queue.release(claim.key, error="worker interrupted mid-attempt")
         raise
     except Exception:
-        _settle(queue, claim, stats, policy, traceback.format_exc(), 0.0,
-                say)
+        _settle(queue, claim, stats, traceback.format_exc(), 0.0, say)
         return
-    _settle(queue, claim, stats, policy, error, elapsed, say)
+    _settle(queue, claim, stats, error, elapsed, say)
 
 
 def _settle(queue: JobQueue, claim: Claim, stats: WorkerStats,
-            policy: BackendConfig, error: Optional[str], elapsed: float,
+            error: Optional[str], elapsed: float,
             say: Callable[[str], None]) -> None:
     """Complete the claim, or release it for a retry, or finalize it.
 
@@ -177,25 +176,25 @@ def _settle(queue: JobQueue, claim: Claim, stats: WorkerStats,
         say(f"{label}: computed ({elapsed:.2f}s)")
         return
     stats.failed += 1
-    if claim.attempt >= policy.retries + 1:
+    if claim.attempt >= claim.policy.attempts:
         queue.finish_failed(claim.key, error=error, attempts=claim.attempt,
                             worker=claim.worker, elapsed=elapsed)
         stats.finalized += 1
         say(f"{label}: failed terminally "
-            f"(attempt {claim.attempt}/{policy.retries + 1})")
+            f"(attempt {claim.attempt}/{claim.policy.attempts})")
         return
     # wall clock: the queue's not_before crosses processes and hosts
     queue.release(claim.key, error=error,
                   not_before=time.time() + retry_backoff_delay(
-                      claim.spec, claim.attempt, policy.retry_backoff))
+                      claim.spec, claim.attempt, claim.policy.retry_backoff))
     # deterministic, so recomputing for the log line is exact
     delay = retry_backoff_delay(claim.spec, claim.attempt,
-                                policy.retry_backoff)
+                                claim.policy.retry_backoff)
     say(f"{label}: attempt {claim.attempt} failed, retry in {delay:.2f}s")
 
 
 def _attempt(queue: JobQueue, store: ResultStore, spec: JobSpec, key: str,
-             worker: str, policy: BackendConfig
+             worker: str, policy: JobPolicy
              ) -> Tuple[Optional[str], float]:
     """Run one attempt in a forked child: ``(error or None, seconds)``.
 
@@ -218,7 +217,7 @@ def _attempt(queue: JobQueue, store: ResultStore, spec: JobSpec, key: str,
 
 
 def _await_child(queue: JobQueue, key: str, worker: str, child, recv,
-                 policy: BackendConfig) -> Tuple[Optional[str], float]:
+                 policy: JobPolicy) -> Tuple[Optional[str], float]:
     """Renew the lease every ``lease_ttl / 3`` until the child reports,
     dies or times out."""
     started = time.monotonic()

@@ -6,7 +6,7 @@ touching the backend.  After a cooldown the breaker goes half-open and
 admits one trial record: success closes it, failure re-opens it with a
 longer cooldown.
 
-Cooldowns reuse :func:`repro.harness.backends.base.retry_backoff_delay` —
+Cooldowns reuse :func:`repro.harness.jobs.retry_backoff_delay` —
 exponential in the number of times this breaker has opened, with
 deterministic jitter hashed from a per-session :class:`JobSpec` identity.
 Two sessions tripping together therefore *de-synchronize* their retry
@@ -16,8 +16,7 @@ session's backoff schedule is exactly reproducible from its name.
 
 from __future__ import annotations
 
-from repro.harness.backends.base import retry_backoff_delay
-from repro.harness.jobs import JobSpec
+from repro.harness.jobs import JobSpec, retry_backoff_delay
 
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"

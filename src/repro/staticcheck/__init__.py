@@ -20,7 +20,7 @@ Rule families (full reference in docs/staticcheck.md):
 * ``FH*`` float hygiene — float dict keys and exact float comparison
   (the PR 2 ``_program_cache`` bug class).
 * ``FS*`` fork safety — module-level mutable state, locks, RNGs and
-  file handles that the fork scheduler would duplicate into workers.
+  file handles that forking would duplicate into queue workers.
 * ``CK*`` cache-key soundness — dynamic import / getattr dispatch the
   code fingerprint cannot see.
 * ``AS*`` async soundness — blocking calls reachable from coroutines
@@ -33,9 +33,8 @@ Rule families (full reference in docs/staticcheck.md):
   checks for file handles, queue leases and tmp files, including
   exception edges.
 
-Findings are suppressible inline (``# staticcheck: ignore[FS101] why``)
-or through the checked-in baseline (kept empty; see
-:mod:`repro.staticcheck.baseline`).  CLI:
+Findings are suppressible only inline, with a pragma naming the rule
+and a justification (``# staticcheck: ignore[FS101] why``).  CLI:
 
     python -m repro.staticcheck --strict
     python -m repro.staticcheck --json - --rule DT101 src/repro/harness
@@ -47,14 +46,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from repro.staticcheck.baseline import (
-    BASELINE_FILENAME,
-    BaselineError,
-    apply_baseline,
-    default_baseline_path,
-    load_baseline,
-    write_baseline,
-)
 from repro.staticcheck.callgraph import CallGraph
 from repro.staticcheck.model import (
     REPORT_SCHEMA_VERSION,
@@ -176,8 +167,6 @@ def check_paths(paths: Optional[Sequence[Path]] = None,
 
 
 __all__ = [
-    "BASELINE_FILENAME",
-    "BaselineError",
     "CallGraph",
     "CheckReport",
     "Finding",
@@ -189,13 +178,9 @@ __all__ = [
     "Severity",
     "SourceFile",
     "StaticcheckError",
-    "apply_baseline",
     "check_paths",
     "check_sources",
     "collect_sources",
-    "default_baseline_path",
     "default_paths",
     "default_root",
-    "load_baseline",
-    "write_baseline",
 ]

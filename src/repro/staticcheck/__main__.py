@@ -6,16 +6,14 @@
     python -m repro.staticcheck --rule DT101 --rule FS101
     python -m repro.staticcheck --json -             # machine-readable
     python -m repro.staticcheck --list-rules
-    python -m repro.staticcheck --write-baseline     # grandfather findings
 
 ``--json -`` writes the JSON report to stdout and keeps every
 human-readable line strictly on stderr, so pipeline consumers can parse
 stdout directly (the same contract as ``python -m repro.analysis``).
 
-Findings are suppressible with an inline pragma naming the rule and a
-justification (``# staticcheck: ignore[FS101] deliberate fork seam``) or
-via the baseline file (``staticcheck-baseline.json``; kept empty in this
-repo — CI asserts it).  A pragma with an unknown rule ID is an error.
+Findings are suppressible only with an inline pragma naming the rule and
+a justification (``# staticcheck: ignore[FS101] deliberate fork seam``).
+A pragma with an unknown rule ID is an error.
 
 Exit status: 0 when clean, 1 when any unsuppressed error (with
 ``--strict``: error or warning) remains, 2 on bad usage.
@@ -26,19 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.staticcheck import (
-    BaselineError,
-    RULES,
-    StaticcheckError,
-    apply_baseline,
-    check_paths,
-    default_baseline_path,
-    load_baseline,
-    write_baseline,
-)
+from repro.staticcheck import RULES, StaticcheckError, check_paths
 from repro.staticcheck.model import REPORT_SCHEMA_VERSION
 from repro.staticcheck.rules import REGISTRY_VERSION, expand
 
@@ -67,16 +55,6 @@ def _parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="also write the full JSON report ('-' writes the JSON to "
              "stdout and moves all human-readable output to stderr)")
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file of grandfathered findings (default: "
-             "staticcheck-baseline.json at the repo root, if present)")
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file (report every finding)")
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule registry and exit")
@@ -109,38 +87,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = None
-    if not args.no_baseline:
-        baseline_path = (Path(args.baseline) if args.baseline
-                         else default_baseline_path())
-
-    if args.write_baseline:
-        target = baseline_path or Path("staticcheck-baseline.json")
-        write_baseline(target, report)
-        print(f"wrote {len(report.findings)} finding(s) to {target}",
-              file=human)
-        return 0
-
-    stale = []
-    if baseline_path is not None:
-        try:
-            report, stale = apply_baseline(report,
-                                           load_baseline(baseline_path))
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
     print(report.render(verbose=args.verbose), file=human)
-    for key in stale:
-        print(f"stale baseline entry (finding no longer exists): {key}",
-              file=human)
 
     if args.json:
         payload = report.to_json_dict()
         payload["registry_version"] = REGISTRY_VERSION
         payload["schema_version"] = REPORT_SCHEMA_VERSION
         payload["strict"] = args.strict
-        payload["stale_baseline_entries"] = stale
         text = json.dumps(payload, indent=2) + "\n"
         if args.json == "-":
             sys.stdout.write(text)
@@ -148,7 +101,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.json, "w", encoding="utf-8") as handle:
                 handle.write(text)
 
-    return 0 if report.ok(strict=args.strict) and not stale else 1
+    return 0 if report.ok(strict=args.strict) else 1
 
 
 if __name__ == "__main__":

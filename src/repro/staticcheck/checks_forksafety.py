@@ -1,10 +1,11 @@
 """Fork-safety rules: FS101 mutated module state, FS102 module locks,
 FS103 module RNGs, FS104 module file handles.
 
-The fork scheduler (:mod:`repro.harness.scheduler`) gives every worker a
-copy-on-write snapshot of the parent's module state.  Module-level
-mutable state that functions write to therefore forks into divergent
-copies (or, pre-fork, smuggles parent history into every child); locks
+Forked queue workers and their per-claim children
+(:mod:`repro.harness.worker`) each get a copy-on-write snapshot of the
+parent's module state.  Module-level mutable state that functions write
+to therefore forks into divergent copies (or, pre-fork, smuggles parent
+history into every child); locks
 fork in whatever state they were held in; RNG instances fork mid-stream
 so children replay identical draws; file handles share offsets.
 

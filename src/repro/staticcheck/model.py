@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set
 from repro.staticcheck.rules import RULES, Severity, resolve
 
 #: version of the ``--json`` payload layout (bump on breaking changes)
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 #: ``# staticcheck: ignore`` (whole line) or ``ignore[DT101, set-iteration]``
 _PRAGMA = re.compile(
@@ -148,11 +148,6 @@ class Finding:
     def severity(self) -> Severity:
         return RULES[self.rule].severity
 
-    @property
-    def key(self) -> str:
-        """The baseline identity (line-precise, message-insensitive)."""
-        return f"{self.rule}:{self.path}:{self.line}"
-
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
                 f"{self.severity.value:<7} {self.rule} "
@@ -178,7 +173,6 @@ class CheckReport:
     files: int = 0
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0          # pragma-suppressed finding count
-    baselined: int = 0           # baseline-suppressed finding count
 
     @property
     def errors(self) -> List[Finding]:
@@ -204,7 +198,6 @@ class CheckReport:
             "errors": len(self.errors),
             "warnings": len(self.warnings),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "findings": [f.to_json_dict() for f in self.findings],
         }
 
@@ -213,12 +206,8 @@ class CheckReport:
         status = ("clean" if not self.findings else
                   f"{len(self.errors)} error(s), "
                   f"{len(self.warnings)} warning(s)")
-        extras = []
-        if self.suppressed:
-            extras.append(f"{self.suppressed} pragma-suppressed")
-        if self.baselined:
-            extras.append(f"{self.baselined} baselined")
-        suffix = f" ({', '.join(extras)})" if extras else ""
+        suffix = (f" ({self.suppressed} pragma-suppressed)"
+                  if self.suppressed else "")
         lines.append(f"staticcheck: {self.files} file(s), {status}{suffix}")
         if verbose and not self.findings:
             lines.insert(0, f"root: {self.root}")

@@ -117,7 +117,7 @@ _ALL_RULES = (
 
 #: id -> Rule (insertion order = documentation order).  Built in one
 #: shot at import time: the registry is never mutated afterwards, so it
-#: is identical in the scheduler parent and every fork worker (FS101).
+#: is identical in the parent and every forked worker (FS101).
 RULES: Dict[str, Rule] = {rule.id: rule for rule in _ALL_RULES}
 
 #: slug -> id, for pragmas written with the readable name

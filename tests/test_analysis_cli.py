@@ -134,10 +134,3 @@ class TestTopLevelDispatch:
     def test_analysis_help_propagates(self, capsys):
         assert cli_main(["analysis", "--help"]) == 0
         assert "suite" in capsys.readouterr().out
-
-    def test_ext_static_ddt_listed_and_runs(self, capsys):
-        assert cli_main(["list"]) == 0
-        assert "ext_static_ddt" in capsys.readouterr().out
-        assert cli_main(["ext_static_ddt", "--scale", "0.02",
-                         "--workloads", "li"]) == 0
-        assert "static" in capsys.readouterr().out

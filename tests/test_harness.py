@@ -16,10 +16,10 @@ from repro.harness import (
     ARTEFACTS,
     ArtefactSpec,
     HarnessError,
+    JobPolicy,
     JobSpec,
     ResultStore,
     RunManifest,
-    Scheduler,
     expand_jobs,
     retry_backoff_delay,
     run_artefacts,
@@ -375,24 +375,23 @@ class TestFailureIsolation:
 
 
 # ---------------------------------------------------------------------------
-# scheduler odds and ends
+# run_artefacts odds and ends
 
 
 class TestScheduler:
     def test_duplicate_jobs_run_once(self):
-        spec = make_job("fig2", "li", SCALE)
-        run = Scheduler(workers=0).run([spec, spec])
-        assert len(run.manifest.jobs) == 1
+        outcome = run_artefacts([("fig2", SCALE), ("fig2", SCALE)], ["li"])
+        assert len(outcome.manifest.jobs) == 1
+        assert outcome.runs[0].rows == outcome.runs[1].rows != []
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            Scheduler(workers=-1)
-        with pytest.raises(ValueError):
-            Scheduler(retries=-1)
-        with pytest.raises(ValueError):
-            Scheduler(term_grace=-1)
-        with pytest.raises(ValueError):
-            Scheduler(retry_backoff=-0.5)
+        for settings in ({"workers": -1}, {"retries": -1},
+                         {"term_grace": -1}, {"retry_backoff": -0.5},
+                         {"timeout": 0}, {"backend": "nope"},
+                         {"backend": "fork", "workers": 0},
+                         {"backend": "worker", "workers": 1}):  # no store
+            with pytest.raises(ValueError):
+                run_artefacts([("fig2", SCALE)], ["li"], **settings)
 
 
 class TestHangEscalation:
@@ -459,7 +458,7 @@ class TestRetryBackoff:
         assert delays[0] < delays[1] < delays[2]
 
     def test_backoff_is_deterministic_per_job(self):
-        base = Scheduler.DEFAULT_RETRY_BACKOFF
+        base = JobPolicy().retry_backoff
         a = retry_backoff_delay(make_job("fig2", "li", SCALE), 2, base)
         b = retry_backoff_delay(make_job("fig2", "li", SCALE), 2, base)
         c = retry_backoff_delay(make_job("fig2", "go", SCALE), 2, base)
@@ -595,6 +594,22 @@ class TestHarnessCLI:
 
         assert harness_main(["run", "nope", "--store", str(tmp_path)]) == 2
         assert "unknown artefact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["repro", "nope"],
+        ["harness", "run", "nope"],
+        ["harness", "enqueue", "nope"],
+        ["harness", "run", "fig6", "--backend", "numpy"],
+        ["harness", "enqueue", "fig6", "--backend", "numpy"],
+    ], ids=["repro", "run", "enqueue", "run-backend", "enqueue-backend"])
+    def test_usage_errors_start_with_error(self, tmp_path, capsys, argv):
+        from repro.__main__ import main as cli_main
+        from repro.harness.__main__ import main as harness_main
+
+        main = cli_main if argv[0] == "repro" else harness_main
+        assert main(argv[1:] + ["--store", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err
 
     @pytest.mark.parametrize("command", ["run", "enqueue"])
     @pytest.mark.parametrize("workloads, message", [

@@ -10,6 +10,7 @@ import os
 import signal
 import sys
 import tempfile
+import threading
 import time
 from contextlib import contextmanager
 from functools import partial
@@ -21,6 +22,7 @@ from repro.experiments import fig2
 from repro.harness import (
     ARTEFACTS,
     ArtefactSpec,
+    JobPolicy,
     JobQueue,
     ResultStore,
     run_artefacts,
@@ -39,10 +41,10 @@ WORKLOADS = ["li", "com", "swm", "go"]
 BOOM = ArtefactSpec("boom", "tests.harness_helpers", "Boom")
 
 
-def _enqueue(queue, store, workload="li"):
+def _enqueue(queue, store, workload="li", policy=JobPolicy()):
     spec = make_job("fig2", workload, SCALE)
     key = store.key_for(spec)
-    queue.enqueue(spec, key)
+    queue.enqueue(spec, key, policy)
     return spec, key
 
 
@@ -85,11 +87,16 @@ def _hooked(hook):
         set_injection_hook(previous)
 
 
+class _Overran(BaseException):
+    """Raised by :func:`_deadline`; not an ``Exception``, so no
+    ``except Exception`` in the code under test can swallow it."""
+
+
 @contextmanager
 def _deadline(seconds):
     """Fail, instead of hanging, a block still running after ``seconds``."""
     def _expired(signum, frame):
-        raise TimeoutError(f"still running after {seconds}s")
+        raise _Overran(f"still running after {seconds}s")
 
     previous = signal.signal(signal.SIGALRM, _expired)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -210,10 +217,11 @@ class TestLeaseLifecycle:
 
     def test_exhausted_budget_finalizes_as_failed(self, tmp_path):
         queue = JobQueue(tmp_path / "q", lease_ttl=0.05)
-        _, key = _enqueue(queue, ResultStore(tmp_path / "s"))
+        _, key = _enqueue(queue, ResultStore(tmp_path / "s"),
+                          policy=JobPolicy(retries=0))
         queue.claim("w1")
         time.sleep(0.06)
-        assert queue.claim("w2", max_attempts=1) is None
+        assert queue.claim("w2") is None
         outcome = queue.outcome(key)
         assert outcome["status"] == "failed"
         assert "retry budget exhausted" in outcome["error"]
@@ -233,6 +241,42 @@ class TestLeaseLifecycle:
         assert queue.enqueue(spec, key) is False  # job file already known
         assert queue.outcome(key) is None
         assert queue.claim("w2").attempt == 1
+
+    def test_claim_returns_the_enqueued_policy(self, tmp_path):
+        queue = JobQueue(tmp_path / "q")
+        policy = JobPolicy(timeout=3, retries=2, term_grace=0.5,
+                           retry_backoff=0.0)
+        _enqueue(queue, ResultStore(tmp_path / "s"), policy=policy)
+        assert queue.claim("w1").policy == policy
+
+    def test_job_without_a_policy_is_claimed_under_the_defaults(
+            self, tmp_path):
+        """A job file written before jobs carried a policy."""
+        queue = JobQueue(tmp_path / "q")
+        spec = make_job("fig2", "li", SCALE)
+        key = ResultStore(tmp_path / "s").key_for(spec)
+        jobs = queue.root / "jobs"
+        jobs.mkdir(parents=True)
+        (jobs / f"{key}.json").write_text(
+            json.dumps({"key": key, "spec": spec.to_json()}),
+            encoding="utf-8")
+        claim = queue.claim("w1")
+        assert claim.spec == spec
+        assert claim.policy == JobPolicy()
+
+    def test_job_with_a_malformed_policy_fails_instead_of_crashing(
+            self, tmp_path):
+        queue = JobQueue(tmp_path / "q")
+        _, key = _enqueue(queue, ResultStore(tmp_path / "s"))
+        job = queue.root / "jobs" / f"{key}.json"
+        document = json.loads(job.read_text(encoding="utf-8"))
+        document["policy"]["retries"] = -1
+        job.write_text(json.dumps(document), encoding="utf-8")
+        assert queue.claim("w1") is None
+        outcome = queue.outcome(key)
+        assert outcome["status"] == "failed"
+        assert "malformed job policy" in outcome["error"]
+        assert queue.lease_info(key) is None
 
     def test_rejects_nonpositive_ttl(self, tmp_path):
         with pytest.raises(ValueError, match="lease_ttl"):
@@ -279,9 +323,8 @@ class TestWorkerLoop:
         store = ResultStore(tmp_path / "s")
         spec = make_job("boom", helpers.RAISING_WORKLOAD, 1.0)
         key = store.key_for(spec)
-        queue.enqueue(spec, key)
-        stats = worker_loop(queue, store, worker_id="w1", retries=1,
-                            retry_backoff=0.01, poll=0.01)
+        queue.enqueue(spec, key, JobPolicy(retries=1, retry_backoff=0.01))
+        stats = worker_loop(queue, store, worker_id="w1", poll=0.01)
         assert stats.claimed == 2       # original attempt + one retry
         assert stats.failed == 2
         assert stats.finalized == 1
@@ -423,8 +466,7 @@ class TestWorkerBackendFailures:
         """One poll reaps every exited local worker, not only those
         before the first live one: an unreaped zombie passes the queue's
         ``os.kill(pid, 0)`` owner check and holds its lease for the TTL."""
-        from repro.harness.backends import BackendConfig
-        from repro.harness.backends.worker import WorkerBackend
+        from repro.harness.backends.worker import await_drain
 
         ctx = multiprocessing.get_context("fork")
         alive = ctx.Process(target=time.sleep, args=(60,))
@@ -441,8 +483,7 @@ class TestWorkerBackendFailures:
             polls = iter((["key"], []))  # one drain round, then drained
             queue = type("OnePollQueue", (), {
                 "remaining": lambda self, keys: next(polls)})()
-            WorkerBackend(BackendConfig(workers=2))._await_drain(
-                queue, ["key"], [alive, dead])
+            await_drain(queue, ["key"], [alive, dead])
             with pytest.raises(ChildProcessError):
                 os.waitpid(dead.pid, os.WNOHANG)
         finally:
@@ -565,6 +606,70 @@ class TestQueueWorkerFailureModel:
 
 
 # ---------------------------------------------------------------------------
+# the policy travels with the job: a worker started apart from the run
+
+
+@contextmanager
+def _awaiting_run(tmp_path, workloads, **policy):
+    """A ``boom`` run on the worker backend with no local workers, in a
+    thread.  Yields ``(queue, store, result)`` once every job is queued;
+    ``result["outcome"]`` holds the run's outcome after the block.  A
+    job still pending then is finalized, so the run's thread returns."""
+    queue = JobQueue(tmp_path / "q")
+    store = ResultStore(tmp_path / "s")
+    result = {}
+
+    def run():
+        result["outcome"] = run_artefacts(
+            [("boom", 1.0)], workloads, workers=0, backend="worker",
+            store=store, queue_dir=queue.root, allow_failures=True,
+            **policy)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        give_up = time.monotonic() + 30
+        while len(queue.job_keys()) < len(workloads):
+            assert thread.is_alive() and time.monotonic() < give_up
+            time.sleep(0.01)
+        yield queue, store, result
+    finally:
+        for key in queue.remaining():
+            queue.finish_failed(key, error="abandoned by the test",
+                                attempts=0)
+        thread.join(30)
+    assert not thread.is_alive(), "the run never returned"
+
+
+class TestPolicyTravelsWithTheJob:
+    @pytest.fixture(autouse=True)
+    def _register_boom(self, monkeypatch):
+        monkeypatch.setitem(ARTEFACTS, "boom", BOOM)
+
+    def test_external_worker_applies_the_runs_retries(self, tmp_path):
+        with _awaiting_run(tmp_path, ["li", helpers.RAISING_WORKLOAD],
+                           retries=0) as (queue, store, result), \
+                _deadline(30):
+            worker_loop(queue, store)
+        outcome = result["outcome"]
+        [failed] = outcome.manifest.failed
+        assert failed.workload == helpers.RAISING_WORKLOAD
+        assert failed.attempts == 1
+        assert [r.abbrev for r in outcome.rows("boom")] == ["li"]
+
+    def test_external_worker_applies_the_runs_timeout(self, tmp_path):
+        started = time.monotonic()
+        with _awaiting_run(tmp_path, [helpers.HANGING_WORKLOAD], timeout=1,
+                           term_grace=0.2, retries=0) as (queue, store,
+                                                         result), \
+                _deadline(10):
+            worker_loop(queue, store)
+        assert time.monotonic() - started < 10
+        [failed] = result["outcome"].manifest.failed
+        assert "timed out after 1s" in failed.error
+
+
+# ---------------------------------------------------------------------------
 # the distributed CLI: enqueue -> worker -> status -> run
 
 
@@ -638,7 +743,7 @@ class TestQueueCLI:
         assert "unknown artefact" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["worker", "--retries", "-1"],
+        ["run", "fig5", "--retries", "-1"],
         ["worker", "--max-jobs", "0"],
         ["worker", "--lease-ttl", "0"],
         ["worker", "--lease-ttl", "-1"],

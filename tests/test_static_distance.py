@@ -195,6 +195,13 @@ class TestSoundnessGate:
         assert row.rar_pair_inflation >= 1.0 or row.dyn_rar == 0
         assert row.raw_pair_inflation >= 1.0 or row.dyn_raw == 0
 
+    def test_pointer_chasing_kernels_have_dynamic_rar_pairs(self):
+        """The pair checks above hold vacuously on a replay that detects
+        no RAR pair at all."""
+        for abbrev in ("li", "gcc", "per"):
+            (row,) = run_one(abbrev, scale=0.25)
+            assert row.dyn_rar > 0, f"{abbrev}: no dynamic RAR pairs?"
+
     def test_violations_raise(self, monkeypatch):
         import repro.experiments.ext_static_distance as mod
 

@@ -1,7 +1,7 @@
 """Unit tests for the repro.staticcheck analyzer.
 
 Every rule family gets a triggering and a non-triggering example, plus
-the two suppression channels (inline pragma, baseline).  Sources are
+the inline-pragma suppression channel.  Sources are
 written into ``tmp_path`` and analyzed with ``root=tmp_path``, so module
 names (and the harness exemption, which keys off them) behave exactly as
 they do over the real tree.
@@ -12,14 +12,7 @@ import textwrap
 
 import pytest
 
-from repro.staticcheck import (
-    RULES,
-    StaticcheckError,
-    apply_baseline,
-    check_paths,
-    load_baseline,
-    write_baseline,
-)
+from repro.staticcheck import RULES, StaticcheckError, check_paths
 from repro.staticcheck.model import (
     PragmaError,
     attach_decorator_pragmas,
@@ -417,7 +410,7 @@ def test_ck102_silent_on_field_introspection(tmp_path):
     assert rule_ids(report) == []
 
 
-# -- rule filter / baseline / errors -------------------------------------
+# -- rule filter / errors ------------------------------------------------
 
 def test_rule_filter_restricts_findings(tmp_path):
     source = """\
@@ -430,32 +423,6 @@ def test_rule_filter_restricts_findings(tmp_path):
     assert sorted(rule_ids(everything)) == ["FH101", "FS101"]
     only_fh = check(tmp_path, source, rules=["FH101"])
     assert rule_ids(only_fh) == ["FH101"]
-
-
-def test_baseline_suppresses_then_reports_stale(tmp_path):
-    report = check(tmp_path, """\
-        CACHE = {}
-
-        def put(key, value):
-            CACHE[key] = value
-        """)
-    assert rule_ids(report) == ["FS101"]
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, report)
-    keys = load_baseline(baseline_path)
-
-    suppressed, stale = apply_baseline(
-        check(tmp_path, open(tmp_path / "mod.py").read()), keys)
-    assert rule_ids(suppressed) == []
-    assert suppressed.baselined == 1
-    assert stale == []
-
-    clean_report = check(tmp_path, """\
-        def put(cache, key, value):
-            cache[key] = value
-        """)
-    _, stale = apply_baseline(clean_report, keys)
-    assert stale == [sorted(keys)[0]]
 
 
 def test_syntax_error_is_a_staticcheck_error(tmp_path):

@@ -2,8 +2,7 @@
 
 Pins the exit-status contract (0 clean / 1 findings / 2 usage), the
 ``--json -`` stream separation (JSON alone on stdout, human lines on
-stderr), strict mode, and baseline round-trips including stale-entry
-failure.
+stderr), and strict mode.
 """
 
 import json
@@ -35,42 +34,41 @@ def project(tmp_path, source, name="mod.py"):
 
 
 def test_clean_tree_exits_zero(tmp_path, capsys):
-    assert main(project(tmp_path, CLEAN) + ["--no-baseline"]) == 0
+    assert main(project(tmp_path, CLEAN)) == 0
     assert "clean" in capsys.readouterr().out
 
 
 def test_seeded_error_exits_one(tmp_path, capsys):
-    assert main(project(tmp_path, ERROR_VIOLATION) + ["--no-baseline"]) == 1
+    assert main(project(tmp_path, ERROR_VIOLATION)) == 1
     out = capsys.readouterr().out
     assert "FS101" in out and "mod.py:1" in out
 
 
 def test_warnings_fail_only_under_strict(tmp_path):
-    argv = project(tmp_path, WARNING_VIOLATION) + ["--no-baseline"]
+    argv = project(tmp_path, WARNING_VIOLATION)
     assert main(argv) == 0
     assert main(argv + ["--strict"]) == 1
 
 
 def test_bad_path_exits_two(tmp_path, capsys):
-    assert main([str(tmp_path / "missing.txt"), "--no-baseline"]) == 2
+    assert main([str(tmp_path / "missing.txt")]) == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_rule_filter_exits_two(tmp_path, capsys):
-    argv = project(tmp_path, CLEAN) + ["--no-baseline", "--rule", "ZZ123"]
+    argv = project(tmp_path, CLEAN) + ["--rule", "ZZ123"]
     assert main(argv) == 2
     assert "unknown staticcheck rule" in capsys.readouterr().err
 
 
 def test_rule_filter_limits_report(tmp_path, capsys):
-    argv = project(tmp_path, ERROR_VIOLATION) + ["--no-baseline"]
+    argv = project(tmp_path, ERROR_VIOLATION)
     assert main(argv + ["--rule", "FH101"]) == 0
     assert main(argv + ["--rule", "module-mutable-state"]) == 1
 
 
 def test_json_dash_separates_streams(tmp_path, capsys):
-    argv = project(tmp_path, ERROR_VIOLATION) + ["--no-baseline",
-                                                 "--json", "-"]
+    argv = project(tmp_path, ERROR_VIOLATION) + ["--json", "-"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     payload = json.loads(captured.out)      # stdout is pure JSON
@@ -83,8 +81,7 @@ def test_json_dash_separates_streams(tmp_path, capsys):
 
 def test_json_file_output(tmp_path):
     report_path = tmp_path / "report.json"
-    argv = project(tmp_path, ERROR_VIOLATION) + [
-        "--no-baseline", "--json", str(report_path)]
+    argv = project(tmp_path, ERROR_VIOLATION) + ["--json", str(report_path)]
     assert main(argv) == 1
     payload = json.loads(report_path.read_text())
     assert [f["rule"] for f in payload["findings"]] == ["FS101"]
@@ -97,20 +94,6 @@ def test_list_rules(tmp_path, capsys):
         assert rule_id in out
 
 
-def test_baseline_roundtrip_and_stale_failure(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    argv = project(tmp_path, ERROR_VIOLATION) + ["--baseline", str(baseline)]
-
-    assert main(argv + ["--write-baseline"]) == 0
-    assert main(argv) == 0                  # grandfathered
-    assert "1 baselined" in capsys.readouterr().out
-
-    # finding fixed -> the baseline entry is stale -> the gate fails
-    (tmp_path / "mod.py").write_text(textwrap.dedent(CLEAN))
-    assert main(argv) == 1
-    assert "stale baseline entry" in capsys.readouterr().out
-
-
 def test_top_level_alias_dispatches(capsys):
     from repro.__main__ import main as repro_main
 
@@ -119,6 +102,6 @@ def test_top_level_alias_dispatches(capsys):
 
 
 def test_repo_tree_is_clean_in_strict_mode(capsys):
-    """The shipped tree passes its own gate with no baseline help."""
-    assert main(["--no-baseline", "--strict"]) == 0
+    """The shipped tree passes its own gate."""
+    assert main(["--strict"]) == 0
     assert "clean" in capsys.readouterr().out
