@@ -40,6 +40,10 @@ class DependenceKind(enum.Enum):
     RAR = "RAR"
 
 
+_RAW = DependenceKind.RAW
+_RAR = DependenceKind.RAR
+
+
 class Dependence(NamedTuple):
     """A detected (source, sink) memory dependence."""
 
@@ -109,6 +113,10 @@ class DDT:
             self._load_table = make_table()
         else:
             self._store_table = self._load_table = make_table()
+        self._split = config.split
+        self._record_loads = config.record_loads
+        self._record_all_loads = config.record_all_loads
+        self._touch = config.touch_on_hit
         self.loads_observed = 0
         self.stores_observed = 0
         self.raw_detected = 0
@@ -117,7 +125,7 @@ class DDT:
     def observe_store(self, pc: int, word_addr: int) -> None:
         """Record a committed store; it becomes the producer for its address."""
         self.stores_observed += 1
-        if self.config.split:
+        if self._split:
             # An intervening store breaks any RAR chain through this address.
             self._load_table.pop(word_addr)
         self._store_table.put(word_addr, _Entry(True, pc))
@@ -125,21 +133,21 @@ class DDT:
     def observe_load(self, pc: int, word_addr: int) -> Optional[Dependence]:
         """Record a committed load; return the dependence it detects."""
         self.loads_observed += 1
-        touch = self.config.touch_on_hit
+        touch = self._touch
 
-        if self.config.split:
+        if self._split:
             store_entry = self._store_table.get(word_addr, touch=touch)
             if store_entry is not None:
                 self.raw_detected += 1
-                return Dependence(DependenceKind.RAW, store_entry.pc, pc, word_addr)
-            if not self.config.record_loads:
+                return Dependence(_RAW, store_entry.pc, pc, word_addr)
+            if not self._record_loads:
                 return None
             load_entry = self._load_table.get(word_addr, touch=touch)
             if load_entry is not None:
                 self.rar_detected += 1
-                if self.config.record_all_loads:
+                if self._record_all_loads:
                     self._load_table.put(word_addr, _Entry(False, pc))
-                return Dependence(DependenceKind.RAR, load_entry.pc, pc, word_addr)
+                return Dependence(_RAR, load_entry.pc, pc, word_addr)
             self._load_table.put(word_addr, _Entry(False, pc))
             return None
 
@@ -147,16 +155,16 @@ class DDT:
         if entry is not None:
             if entry.is_store:
                 self.raw_detected += 1
-                return Dependence(DependenceKind.RAW, entry.pc, pc, word_addr)
+                return Dependence(_RAW, entry.pc, pc, word_addr)
             self.rar_detected += 1
-            if self.config.record_all_loads:
+            if self._record_all_loads:
                 self._store_table.put(word_addr, _Entry(False, pc))
-            return Dependence(DependenceKind.RAR, entry.pc, pc, word_addr)
-        if self.config.record_loads:
+            return Dependence(_RAR, entry.pc, pc, word_addr)
+        if self._record_loads:
             self._store_table.put(word_addr, _Entry(False, pc))
         return None
 
     def clear(self) -> None:
         self._store_table.clear()
-        if self.config.split:
+        if self._split:
             self._load_table.clear()

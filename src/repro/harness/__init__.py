@@ -21,48 +21,8 @@ evaluation in parallel; a second invocation is almost entirely cache
 hits; ``run --exec-backend worker --workers 3`` drains the same grid
 through the work queue with byte-identical output.  See docs/harness.md
 for the job model, execution paths, hash key and manifest schema.
+
+The package itself imports nothing: import from the submodules, so a
+caller that needs only :mod:`repro.harness.jobs` does not load the
+queue, the workers and the store.
 """
-
-from repro.harness.backends import BACKEND_NAMES
-from repro.harness.jobs import (
-    JobPolicy,
-    JobSpec,
-    execute_job,
-    expand_jobs,
-    retry_backoff_delay,
-)
-from repro.harness.manifest import JobRecord, RunManifest
-from repro.harness.queue import JobQueue
-from repro.harness.registry import (
-    ARTEFACTS,
-    ArtefactSpec,
-    artefact_names,
-    register,
-)
-from repro.harness.store import ResultStore, code_fingerprint, rows_to_payload
-from repro.harness.worker import WorkerStats, worker_loop
-
-from repro.harness.api import HarnessError, run_artefacts
-
-__all__ = [
-    "ARTEFACTS",
-    "ArtefactSpec",
-    "BACKEND_NAMES",
-    "HarnessError",
-    "JobPolicy",
-    "JobQueue",
-    "JobRecord",
-    "JobSpec",
-    "ResultStore",
-    "RunManifest",
-    "WorkerStats",
-    "artefact_names",
-    "code_fingerprint",
-    "execute_job",
-    "expand_jobs",
-    "register",
-    "retry_backoff_delay",
-    "rows_to_payload",
-    "run_artefacts",
-    "worker_loop",
-]

@@ -27,12 +27,17 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.core.cloaking import CloakingEngine
+from repro.core.cloaking import CloakingEngine, LoadOutcome
 from repro.core.config import CloakingConfig
+from repro.isa.instructions import MEMORY_CLASSES
 from repro.pipeline.config import ProcessorConfig
 from repro.pipeline.processor import Processor
 from repro.pipeline.recovery import RecoveryPolicy
 from repro.trace.records import DynInst
+
+_NOT_PREDICTED = LoadOutcome.NOT_PREDICTED
+_CORRECT_RAW = LoadOutcome.CORRECT_RAW
+_CORRECT_RAR = LoadOutcome.CORRECT_RAR
 
 
 class CloakedProcessor(Processor):
@@ -50,6 +55,8 @@ class CloakedProcessor(Processor):
         super().__init__(config)
         self.engine = CloakingEngine(cloaking)
         self.recovery = recovery
+        self._oracle = recovery is RecoveryPolicy.ORACLE
+        self._squash = recovery is RecoveryPolicy.SQUASH
         self._synonym_value_time: Dict[int, int] = {}
         self.speculations_used = 0
         self.misspeculations = 0
@@ -67,28 +74,27 @@ class CloakedProcessor(Processor):
         outcome = observed.outcome
         effective = value_time
 
-        if outcome.speculated:
-            use = True
-            if self.recovery == RecoveryPolicy.ORACLE and not outcome.correct:
-                use = False
-            if use:
+        if outcome is not _NOT_PREDICTED:
+            correct = outcome is _CORRECT_RAW or outcome is _CORRECT_RAR
+            if correct or not self._oracle:
                 self.speculations_used += 1
-                if outcome.correct:
+                if correct:
                     publish = self._synonym_value_time.get(
                         observed.consumer_synonym, dispatch)
-                    speculative = max(dispatch + 1, publish)
+                    speculative = dispatch + 1
+                    if publish > speculative:
+                        speculative = publish
                     if speculative < effective:
                         effective = speculative
                 else:
                     self.misspeculations += 1
                     # Misspeculation is signalled when a dependent reads the
                     # wrong value; verification completes with the load.
-                    verify = value_time
-                    if self.recovery == RecoveryPolicy.SELECTIVE:
-                        effective = verify + self.SELECTIVE_PENALTY
-                    else:  # SQUASH: flush and refetch from here on
-                        effective = verify + self.SELECTIVE_PENALTY
-                        self._redirect = max(self._redirect, verify + 1)
+                    # Selective and squash recovery both reschedule the
+                    # dependent chain; squash also flushes and refetches.
+                    effective = value_time + self.SELECTIVE_PENALTY
+                    if self._squash and value_time + 1 > self._redirect:
+                        self._redirect = value_time + 1
 
         if observed.producer_synonym is not None:
             # A producing load publishes the value it fetched from memory.
@@ -97,7 +103,7 @@ class CloakedProcessor(Processor):
 
     def _warm_instruction(self, inst: DynInst) -> None:
         super()._warm_instruction(inst)
-        if inst.is_load or inst.is_store:
+        if inst.opclass in MEMORY_CLASSES:
             observed = self.engine.observe_timing(inst)
             if observed is not None and observed.producer_synonym is not None:
                 # Values deposited during functional simulation are simply

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
-from repro.isa.instructions import OpClass
 from repro.memsys.hierarchy import MemoryHierarchyConfig
 
 
@@ -41,13 +39,6 @@ class ProcessorConfig:
     branch_predictor_entries: int = 64 * 1024
     ras_depth: int = 64
     memory: MemoryHierarchyConfig = field(default_factory=MemoryHierarchyConfig)
-    # Functional-unit issue bandwidth per class and cycle.  The paper's
-    # 8-wide machine does not enumerate FU counts; defaults leave only the
-    # global issue width and LSQ bandwidth binding.
-    fu_limits: Dict[OpClass, int] = field(default_factory=dict)
-
-    def fu_limit(self, opclass: OpClass) -> int:
-        return self.fu_limits.get(opclass, self.issue_width)
 
     def __post_init__(self) -> None:
         for name in ("fetch_width", "issue_width", "commit_width",
@@ -56,8 +47,13 @@ class ProcessorConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.lsq_policy not in ("naive", "store_sets", "no_speculation"):
             raise ValueError(f"unknown lsq_policy {self.lsq_policy!r}")
-        if self.violation_penalty < 0:
-            raise ValueError("violation_penalty must be >= 0")
+        # Negative delays would schedule a load before its address exists,
+        # and the timing model's bandwidth counters rely on every memory
+        # and commit request falling after the requesting dispatch.
+        for name in ("operand_read_cycles", "lsq_min_delay",
+                     "store_forward_latency", "violation_penalty"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @property
     def effective_lsq_policy(self) -> str:

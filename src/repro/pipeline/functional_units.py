@@ -1,48 +1,16 @@
-"""Issue-bandwidth accounting for the dataflow timing model."""
+"""Per-cycle bandwidth accounting for the dataflow timing model."""
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.isa.instructions import OpClass
-from repro.pipeline.config import ProcessorConfig
-
-
-class IssueBandwidth:
-    """Allocates issue slots subject to global width and per-class FU limits.
-
-    ``allocate(earliest, opclass)`` returns the first cycle at or after
-    ``earliest`` with both a free global issue slot and a free slot of the
-    instruction's functional-unit class.
-    """
-
-    def __init__(self, config: ProcessorConfig) -> None:
-        self._config = config
-        self._global: Dict[int, int] = {}
-        self._per_class: Dict[OpClass, Dict[int, int]] = {}
-
-    def allocate(self, earliest: int, opclass: OpClass) -> int:
-        width = self._config.issue_width
-        class_limit = self._config.fu_limit(opclass)
-        class_counts = self._per_class.get(opclass)
-        if class_counts is None:
-            class_counts = self._per_class[opclass] = {}
-        cycle = earliest
-        while True:
-            if self._global.get(cycle, 0) < width \
-                    and class_counts.get(cycle, 0) < class_limit:
-                self._global[cycle] = self._global.get(cycle, 0) + 1
-                class_counts[cycle] = class_counts.get(cycle, 0) + 1
-                return cycle
-            cycle += 1
-
-    def reset(self) -> None:
-        self._global.clear()
-        self._per_class.clear()
-
 
 class BandwidthLimiter:
-    """A single-resource per-cycle bandwidth allocator (LSQ ports, commit)."""
+    """A single-resource per-cycle bandwidth allocator (issue, LSQ ports, commit).
+
+    ``allocate(earliest)`` returns the first cycle at or after ``earliest``
+    with a free slot and takes that slot.
+    """
 
     def __init__(self, width: int) -> None:
         if width < 1:
@@ -51,12 +19,20 @@ class BandwidthLimiter:
         self._counts: Dict[int, int] = {}
 
     def allocate(self, earliest: int) -> int:
-        cycle = earliest
         counts = self._counts
-        while counts.get(cycle, 0) >= self.width:
-            cycle += 1
-        counts[cycle] = counts.get(cycle, 0) + 1
-        return cycle
+        width = self.width
+        count = counts.get(earliest, 0)
+        while count >= width:
+            earliest += 1
+            count = counts.get(earliest, 0)
+        counts[earliest] = count + 1
+        return earliest
 
-    def reset(self) -> None:
-        self._counts.clear()
+    def forget_before(self, cycle: int) -> None:
+        """Drop the counts of every cycle before ``cycle``.
+
+        Exact as long as no later request asks for an earlier cycle: the
+        walk in :meth:`allocate` never reads a cycle before its
+        ``earliest``.
+        """
+        self._counts = {c: n for c, n in self._counts.items() if c >= cycle}

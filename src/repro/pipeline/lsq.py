@@ -45,7 +45,10 @@ class LoadStoreScheduler:
         self.config = config
         self.hierarchy = hierarchy
         self.policy = config.effective_lsq_policy
-        self._ports = BandwidthLimiter(config.lsq_width)
+        self.ports = BandwidthLimiter(config.lsq_width)
+        self._min_delay = config.lsq_min_delay
+        self._forward_latency = config.store_forward_latency
+        self._no_speculation = self.policy == "no_speculation"
         # word address -> (addr post time, forward-ready time, store pc)
         self._store_info: Dict[int, Tuple[int, int, int]] = {}
         self._store_addr_frontier = 0
@@ -62,24 +65,27 @@ class LoadStoreScheduler:
         The store claims an LSQ port when its address is computed; its data
         may arrive later (out-of-order posting, rules 3/4).
         """
-        slot = self._ports.allocate(addr_time + self.config.lsq_min_delay)
-        self._store_addr_frontier = max(self._store_addr_frontier, slot)
-        forward_ready = max(slot, data_time) + self.config.store_forward_latency
+        slot = self.ports.allocate(addr_time + self._min_delay)
+        if slot > self._store_addr_frontier:
+            self._store_addr_frontier = slot
+        posted = data_time if data_time > slot else slot
+        forward_ready = posted + self._forward_latency
         self._store_info[word_addr] = (slot, forward_ready, pc)
         if self.store_sets is not None:
             self.store_sets.store_dispatched(pc, slot, forward_ready)
-        return max(slot, data_time)
+        return posted
 
     def schedule_load(self, pc: int, word_addr: int, byte_addr: int,
                       addr_time: int) -> int:
         """Schedule a load; returns the cycle its value is available."""
-        earliest = addr_time + self.config.lsq_min_delay
-        if self.policy == "no_speculation":
+        earliest = addr_time + self._min_delay
+        if self._no_speculation:
             # Loads wait for every preceding store address to be known.
-            earliest = max(earliest, self._store_addr_frontier)
+            if self._store_addr_frontier > earliest:
+                earliest = self._store_addr_frontier
         elif self.store_sets is not None:
             earliest = max(earliest, self.store_sets.load_wait_time(pc))
-        slot = self._ports.allocate(earliest)
+        slot = self.ports.allocate(earliest)
 
         info = self._store_info.get(word_addr)
         if info is not None:
@@ -103,10 +109,3 @@ class LoadStoreScheduler:
     def commit_store(self, byte_addr: int, commit_time: int) -> None:
         """Update cache state when a store leaves the window."""
         self.hierarchy.store(byte_addr, commit_time)
-
-    def reset(self) -> None:
-        self._ports.reset()
-        self._store_info.clear()
-        self._store_addr_frontier = 0
-        if self.store_sets is not None:
-            self.store_sets.clear()

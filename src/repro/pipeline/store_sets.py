@@ -80,7 +80,3 @@ class StoreSetPredictor:
             return 0
         addr_time, _ = timing
         return addr_time
-
-    def clear(self) -> None:
-        self._ssit.clear()
-        self._lfst.clear()

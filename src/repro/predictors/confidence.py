@@ -22,6 +22,10 @@ class ConfidenceKind(enum.Enum):
     TWO_BIT = "2-bit adaptive"
 
 
+_ONE_BIT = ConfidenceKind.ONE_BIT
+_TWO_BIT = ConfidenceKind.TWO_BIT
+
+
 class ConfidenceState:
     """Per-DPNT-entry confidence; one instance per (entry, role)."""
 
@@ -38,7 +42,7 @@ class ConfidenceState:
 
     @property
     def predict(self) -> bool:
-        if self.kind == ConfidenceKind.ONE_BIT:
+        if self.kind is _ONE_BIT:
             return True
         return self.value >= self._THRESHOLD
 
@@ -54,7 +58,7 @@ class ConfidenceState:
 
     def on_wrong(self) -> None:
         """A speculative value was used and was wrong."""
-        if self.kind == ConfidenceKind.TWO_BIT:
+        if self.kind is _TWO_BIT:
             self.value = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

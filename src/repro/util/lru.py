@@ -44,23 +44,25 @@ class LRUTable:
 
     def get(self, key: Any, default: Any = None, touch: bool = True) -> Any:
         """Return the value stored under ``key`` or ``default`` if absent."""
-        if key not in self._entries:
+        entries = self._entries
+        if key not in entries:
             return default
         if touch:
-            self._entries.move_to_end(key)
-        return self._entries[key]
+            entries.move_to_end(key)
+        return entries[key]
 
     def put(self, key: Any, value: Any) -> Optional[Tuple[Any, Any]]:
         """Insert or update ``key``; return the evicted ``(key, value)`` if any."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = value
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            entries[key] = value
             return None
         evicted = None
-        if self.capacity is not None and len(self._entries) >= self.capacity:
-            evicted = self._entries.popitem(last=False)
+        if self.capacity is not None and len(entries) >= self.capacity:
+            evicted = entries.popitem(last=False)
             self.evictions += 1
-        self._entries[key] = value
+        entries[key] = value
         return evicted
 
     def pop(self, key: Any, default: Any = None) -> Any:
@@ -110,7 +112,7 @@ class SetAssociativeTable:
 
     def get(self, key: Any, default: Any = None, touch: bool = True) -> Any:
         """Return the value stored under ``key`` or ``default`` if absent."""
-        entries = self._set_for(key)
+        entries = self._sets[hash(key) & self._mask]
         if key not in entries:
             return default
         if touch:
@@ -119,7 +121,7 @@ class SetAssociativeTable:
 
     def put(self, key: Any, value: Any) -> Optional[Tuple[Any, Any]]:
         """Insert or update ``key``; return the evicted ``(key, value)`` if any."""
-        entries = self._set_for(key)
+        entries = self._sets[hash(key) & self._mask]
         if key in entries:
             entries.move_to_end(key)
             entries[key] = value

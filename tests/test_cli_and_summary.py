@@ -5,7 +5,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.experiments import ext_distance, ext_hybrid, ext_predictors, summary
-from repro.harness import run_artefacts
+from repro.harness.api import run_artefacts
 
 
 class TestCLI:

@@ -12,22 +12,15 @@ import pytest
 
 import repro
 from repro.experiments import fig2, fig6, summary
-from repro.harness import (
-    ARTEFACTS,
-    ArtefactSpec,
-    HarnessError,
-    JobPolicy,
-    JobSpec,
-    ResultStore,
-    RunManifest,
-    expand_jobs,
-    retry_backoff_delay,
-    run_artefacts,
-)
-from repro.harness.jobs import make_job
-from repro.harness.manifest import STATUS_COMPUTED, STATUS_FAILED, STATUS_HIT
+from repro.harness.api import HarnessError, run_artefacts
+from repro.harness.jobs import (JobPolicy, JobSpec, expand_jobs, make_job,
+                                retry_backoff_delay)
+from repro.harness.manifest import (STATUS_COMPUTED, STATUS_FAILED,
+                                    STATUS_HIT, RunManifest)
+from repro.harness.registry import ARTEFACTS, ArtefactSpec
 from repro.harness import store as store_module
-from repro.harness.store import rows_from_payload, rows_to_payload
+from repro.harness.store import (ResultStore, rows_from_payload,
+                                 rows_to_payload)
 from repro.util.hashing import tree_fingerprint
 
 import tests.harness_helpers as helpers
@@ -684,7 +677,7 @@ class TestSatellites:
 
 class TestRegistryHygiene:
     def test_register_rejects_duplicate_names(self):
-        from repro.harness import register
+        from repro.harness.registry import register
 
         with pytest.raises(ValueError, match="already registered"):
             register(ArtefactSpec("fig2", "tests.harness_helpers", "Dup"))
@@ -692,7 +685,7 @@ class TestRegistryHygiene:
         assert ARTEFACTS["fig2"].module == "repro.experiments.fig2"
 
     def test_register_accepts_fresh_name_once(self):
-        from repro.harness import register
+        from repro.harness.registry import register
 
         spec = ArtefactSpec("fresh-artefact", "tests.harness_helpers",
                             "Fresh")

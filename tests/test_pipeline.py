@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa.instructions import OpClass
 from repro.pipeline import Processor, ProcessorConfig
-from repro.pipeline.functional_units import BandwidthLimiter, IssueBandwidth
+from repro.pipeline.functional_units import BandwidthLimiter
 from repro.trace.records import DynInst
 from repro.trace.sampling import SamplingPlan
 
@@ -45,14 +45,48 @@ class TestBandwidth:
         with pytest.raises(ValueError):
             BandwidthLimiter(0)
 
-    def test_issue_bandwidth_respects_class_limits(self):
-        config = ProcessorConfig(issue_width=8,
-                                 fu_limits={OpClass.IDIV: 1})
-        bandwidth = IssueBandwidth(config)
-        cycles = [bandwidth.allocate(0, OpClass.IDIV) for _ in range(3)]
-        assert cycles == [0, 1, 2]
-        # other classes are unaffected
-        assert bandwidth.allocate(0, OpClass.IALU) == 0
+    def test_forget_before_drops_only_older_cycles(self):
+        limiter = BandwidthLimiter(1)
+        assert [limiter.allocate(c) for c in (3, 3, 7)] == [3, 4, 7]
+        limiter.forget_before(4)
+        assert sorted(limiter._counts) == [4, 7]
+        assert [limiter.allocate(4) for _ in range(3)] == [5, 6, 8]
+
+    def test_counts_stay_bounded_over_a_long_run(self):
+        # Each limiter used to keep one count for every cycle it ever
+        # allocated; the processor now drops the counts behind dispatch.
+        processor = Processor()
+        for i in range(60000):
+            if i % 4 == 0:
+                inst = load(i, 0x8000 + 4 * (i % 4096), rd=2, srcs=(9,))
+            elif i % 4 == 1:
+                inst = store(i, 0x8000 + 4 * (i % 1024))
+            else:
+                inst = alu(i, rd=1, srcs=(1,))     # a serial chain
+            processor.feed(inst)
+        cycles = processor.finalize().cycles
+        assert cycles > 25000
+        for limiter in (processor._issue, processor._commit_bw,
+                        processor.lsq.ports):
+            assert len(limiter._counts) <= 5000
+
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("name", [
+        "fetch_width", "issue_width", "commit_width", "window_size",
+        "frontend_depth", "lsq_size", "lsq_width"])
+    def test_widths_and_sizes_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=name):
+            ProcessorConfig(**{name: 0})
+
+    @pytest.mark.parametrize("name", [
+        "operand_read_cycles", "lsq_min_delay", "store_forward_latency",
+        "violation_penalty"])
+    def test_delays_must_be_non_negative(self, name):
+        with pytest.raises(ValueError, match=name):
+            ProcessorConfig(**{name: -1})
+        ProcessorConfig(**{name: 0})
 
 
 class TestDataflowTiming:

@@ -19,19 +19,14 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import fig2
-from repro.harness import (
-    ARTEFACTS,
-    ArtefactSpec,
-    JobPolicy,
-    JobQueue,
-    ResultStore,
-    run_artefacts,
-    worker_loop,
-)
-from repro.harness.jobs import JobSpec, make_job, set_injection_hook
+from repro.harness.api import run_artefacts
+from repro.harness.jobs import (JobPolicy, JobSpec, make_job,
+                                set_injection_hook)
 from repro.harness.manifest import STATUS_COMPUTED, STATUS_FAILED
-from repro.harness.queue import DEFAULT_LEASE_TTL, default_worker_id
-from repro.harness.worker import poll_delay
+from repro.harness.queue import DEFAULT_LEASE_TTL, JobQueue, default_worker_id
+from repro.harness.registry import ARTEFACTS, ArtefactSpec
+from repro.harness.store import ResultStore
+from repro.harness.worker import poll_delay, worker_loop
 
 import tests.harness_helpers as helpers
 

@@ -31,7 +31,8 @@ class TestReportCard:
     def test_harness_run_grades_in_one_pooled_pass(self, tmp_path, capsys):
         """The six graded artefacts run as one harness pass: one manifest
         holds every cell, and the CLI's store and progress options apply."""
-        from repro.harness import ResultStore, RunManifest
+        from repro.harness.manifest import RunManifest
+        from repro.harness.store import ResultStore
         from repro.harness.__main__ import main as harness_main
 
         store = ResultStore(tmp_path)
