@@ -51,19 +51,19 @@ def _simulate_workload(workload, scale: float,
         )
         for label, mode, recovery in configs
     }
-    machines = [base] + list(cloaked.values())
+    feeds = [machine.feed for machine in [base, *cloaked.values()]]
     plan = workload.sampling_plan()
     trace = workload.trace(scale=scale)
     if plan.enabled:
         for segment in plan.segments(trace):
             timing = segment.mode == TIMING
             for inst in segment.instructions:
-                for machine in machines:
-                    machine.feed(inst, timing=timing)
+                for feed in feeds:
+                    feed(inst, timing)
     else:
         for inst in trace:
-            for machine in machines:
-                machine.feed(inst)
+            for feed in feeds:
+                feed(inst)
     base_result = base.finalize(workload.abbrev)
     return SpeedupRow(
         abbrev=workload.abbrev,
