@@ -2,25 +2,29 @@
 
 The rendered experiment tables round to two decimals and the benchmark
 pins one machine's IPC, so a cycle count could move without either
-noticing.  This test drives three kernels (with sampling, so the
-functional warm-up path runs too) through ten timing machines and four
-cloaking engines and pins a sha256 prefix of everything they count:
+noticing.  This test drives four kernels, each at its own scale (with
+sampling, so the functional warm-up path runs too), through ten timing
+machines and four cloaking engines and pins a sha256 prefix of
+everything they count:
 
 * each ``SimResult``'s counters and its ``extra``;
 * each machine's LSQ ``violations`` and ``loads_forwarded``;
 * each engine's per-load outcome stream, ``CloakingStats`` counters and
   ``describe()``.
 
-A change meant to be speed-only must leave every digest as it is.
+``gcc`` at 0.05 is the case whose LSQs record memory-order violations
+(li, tom and com at 0.02 record none), so the violation path is pinned
+too.  A change meant to be speed-only must leave every digest as it is.
 Regenerate after an intentional change to the simulated machine with::
 
     PYTHONPATH=src python -c "
     from tests.test_sim_goldens import GOLDEN_DIGESTS, digest
-    for abbrev in GOLDEN_DIGESTS:
-        print(f'    \\"{abbrev}\\": \\"{digest(abbrev)}\\",')"
+    for abbrev, (scale, _) in GOLDEN_DIGESTS.items():
+        print(f'    \\"{abbrev}\\": ({scale}, \\"{digest(abbrev, scale)}\\"),')"
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -33,13 +37,14 @@ from repro.pipeline import (CloakedProcessor, Processor, ProcessorConfig,
 from repro.trace.sampling import TIMING, SamplingPlan
 from repro.workloads import get_workload
 
-SCALE = 0.02
 PLAN = SamplingPlan(1, 2, observation=500)
 
+#: kernel -> (scale, digest)
 GOLDEN_DIGESTS = {
-    "li": "d685d8109533b62d",
-    "tom": "1dc8fcaaa390e5bd",
-    "com": "2f728d9a1c721674",
+    "li": (0.02, "d685d8109533b62d"),
+    "tom": (0.02, "1dc8fcaaa390e5bd"),
+    "com": (0.02, "2f728d9a1c721674"),
+    "gcc": (0.05, "ff29357d6d55bda0"),
 }
 
 
@@ -71,12 +76,13 @@ def _engines():
     }
 
 
-def simulate(abbrev: str) -> dict:
+@functools.lru_cache(maxsize=None)
+def simulate(abbrev: str, scale: float) -> dict:
     """Every count the machines and engines produce on one kernel."""
     machines = _machines()
     engines = _engines()
     outcomes = {name: [] for name in engines}
-    trace = get_workload(abbrev).trace(scale=SCALE)
+    trace = get_workload(abbrev).trace(scale=scale)
     for segment in PLAN.segments(trace):
         timing = segment.mode == TIMING
         for inst in segment.instructions:
@@ -102,16 +108,28 @@ def simulate(abbrev: str) -> dict:
     return record
 
 
-def digest(abbrev: str) -> str:
-    text = json.dumps(simulate(abbrev), sort_keys=True)
+def digest(abbrev: str, scale: float) -> str:
+    text = json.dumps(simulate(abbrev, scale), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("abbrev", sorted(GOLDEN_DIGESTS))
 def test_simulated_counts_stable(abbrev):
-    assert digest(abbrev) == GOLDEN_DIGESTS[abbrev], (
+    scale, expected = GOLDEN_DIGESTS[abbrev]
+    assert digest(abbrev, scale) == expected, (
         f"the timing model or cloaking engine counts something different "
         f"on {abbrev!r}; a speed-only change must not, and an intended "
         "change regenerates these digests (see module docstring) together "
         "with results/ and the benchmark's recorded digests"
     )
+
+
+def test_goldens_exercise_memory_order_violations():
+    """The naive LSQ must violate and store sets must learn from it, so a
+    scale change cannot quietly stop covering ``violation_penalty`` and
+    ``StoreSetPredictor.train_violation``."""
+    record = simulate("gcc", GOLDEN_DIGESTS["gcc"][0])
+    naive = record["machine/base/naive"]["violations"]
+    store_sets = record["machine/base/store_sets"]["violations"]
+    assert naive >= 2
+    assert store_sets < naive
