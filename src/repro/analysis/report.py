@@ -104,10 +104,6 @@ class AnalysisReport:
     def warnings(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is Severity.WARNING]
 
-    @property
-    def infos(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.INFO]
-
     def ok(self, strict: bool = False) -> bool:
         """True when the program is clean (under ``strict``: no warnings)."""
         if self.errors:

@@ -2,10 +2,11 @@
 
 This package implements the full prediction pipeline of Sections 3.1/3.2:
 dependence detection feeds the Dependence Prediction and Naming Table
-(DPNT), synonyms name communication groups, the Synonym File (SF) carries
-speculative values from producers (stores for RAW, earliest loads for RAR)
-to consumers, and the Synonym Rename Table (SRT) links consumers straight
-to producing physical registers for bypassing.
+(DPNT), synonyms name communication groups, and the Synonym File (SF)
+carries speculative values from producers (stores for RAW, earliest loads
+for RAR) to consumers.  Bypassing's Synonym Rename Table (SRT), which links
+consumers straight to the producing instruction, is the synonym-to-publish
+time map of :class:`~repro.pipeline.cloaked_processor.CloakedProcessor`.
 
 :class:`~repro.core.cloaking.CloakingEngine` is the streaming functional
 model used for all accuracy experiments (Figures 6/7, Table 5.2);
@@ -21,7 +22,6 @@ from repro.core.cloaking import (
 )
 from repro.core.config import CloakingConfig, CloakingMode
 from repro.core.dpnt import DPNT, DPNTEntry
-from repro.core.srt import SynonymRenameTable
 from repro.core.synonym_file import SFEntry, SynonymFile
 from repro.core.synonyms import MergePolicy, SynonymAllocator
 
@@ -36,7 +36,6 @@ __all__ = [
     "DPNTEntry",
     "SynonymFile",
     "SFEntry",
-    "SynonymRenameTable",
     "SynonymAllocator",
     "MergePolicy",
 ]

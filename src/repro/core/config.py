@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.dependence.ddt import DDTConfig
@@ -69,16 +69,8 @@ class CloakingConfig:
             # DDT; constructing it with a load-recording DDT silently changes
             # store visibility (the Section 5.6.2 anomaly), so require the
             # caller to be explicit.
-            object.__setattr__(
-                self, "ddt",
-                DDTConfig(
-                    size=self.ddt.size,
-                    split=self.ddt.split,
-                    record_loads=False,
-                    record_all_loads=self.ddt.record_all_loads,
-                    touch_on_hit=self.ddt.touch_on_hit,
-                ),
-            )
+            object.__setattr__(self, "ddt",
+                               replace(self.ddt, record_loads=False))
 
     @classmethod
     def paper_accuracy(cls, mode: CloakingMode = CloakingMode.RAW_RAR,

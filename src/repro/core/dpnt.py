@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Tuple
 
 from repro.predictors.confidence import ConfidenceKind, ConfidenceState
-from repro.util.lru import LRUTable, SetAssociativeTable
+from repro.util.lru import make_table
 
 
 class DPNTEntry:
@@ -40,16 +40,7 @@ class DPNT:
         confidence: ConfidenceKind = ConfidenceKind.TWO_BIT,
     ) -> None:
         self.confidence_kind = confidence
-        if entries is None:
-            self._table = LRUTable(None)
-        elif ways == 0:
-            self._table = LRUTable(entries)
-        else:
-            if entries % ways:
-                raise ValueError(
-                    f"entries ({entries}) must be divisible by ways ({ways})"
-                )
-            self._table = SetAssociativeTable(entries // ways, ways)
+        self._table = make_table(entries, ways)
 
     def lookup(self, pc: int) -> Optional[DPNTEntry]:
         """The entry for an instruction, or ``None``."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.util.lru import LRUTable, SetAssociativeTable
+from repro.util.lru import make_table
 
 
 class SFEntry:
@@ -47,16 +47,7 @@ class SynonymFile:
     """
 
     def __init__(self, entries: Optional[int] = None, ways: int = 2) -> None:
-        if entries is None:
-            self._table = LRUTable(None)
-        elif ways == 0:
-            self._table = LRUTable(entries)
-        else:
-            if entries % ways:
-                raise ValueError(
-                    f"entries ({entries}) must be divisible by ways ({ways})"
-                )
-            self._table = SetAssociativeTable(entries // ways, ways)
+        self._table = make_table(entries, ways)
         self.allocations = 0
 
     def allocate(self, synonym: int) -> SFEntry:

@@ -32,7 +32,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from repro.util.lru import LRUTable, SetAssociativeTable
+from repro.util.lru import make_table
 
 
 class DependenceKind(enum.Enum):
@@ -97,22 +97,9 @@ class DDT:
 
     def __init__(self, config: DDTConfig = DDTConfig()) -> None:
         self.config = config
-
-        def make_table():
-            if config.ways and config.size is not None:
-                if config.size % config.ways:
-                    raise ValueError(
-                        f"DDT size {config.size} not divisible by "
-                        f"ways {config.ways}")
-                return SetAssociativeTable(config.size // config.ways,
-                                           config.ways)
-            return LRUTable(config.size)
-
-        if config.split:
-            self._store_table = make_table()
-            self._load_table = make_table()
-        else:
-            self._store_table = self._load_table = make_table()
+        self._store_table = make_table(config.size, config.ways)
+        self._load_table = (make_table(config.size, config.ways)
+                            if config.split else self._store_table)
         self._split = config.split
         self._record_loads = config.record_loads
         self._record_all_loads = config.record_all_loads

@@ -26,7 +26,7 @@ CONFIGS = (
 
 def run(scale: float = 1.0,
         workloads: Optional[Sequence[str]] = None) -> List["fig9.SpeedupRow"]:
-    config = ProcessorConfig(memory_speculation=False)
+    config = ProcessorConfig(lsq_policy="no_speculation")
     from repro.experiments.runner import select_workloads
     return [
         fig9._simulate_workload(workload, scale, config, configs=CONFIGS)

@@ -19,7 +19,6 @@ from repro.core import CloakingConfig, CloakingMode
 from repro.experiments.report import format_table, signed_pct
 from repro.experiments.runner import select_workloads
 from repro.pipeline import CloakedProcessor, Processor, ProcessorConfig, RecoveryPolicy
-from repro.trace.sampling import TIMING
 from repro.util.stats import harmonic_mean_speedup
 
 CONFIGS: Tuple[Tuple[str, CloakingMode, RecoveryPolicy], ...] = (
@@ -52,18 +51,10 @@ def _simulate_workload(workload, scale: float,
         for label, mode, recovery in configs
     }
     feeds = [machine.feed for machine in [base, *cloaked.values()]]
-    plan = workload.sampling_plan()
     trace = workload.trace(scale=scale)
-    if plan.enabled:
-        for segment in plan.segments(trace):
-            timing = segment.mode == TIMING
-            for inst in segment.instructions:
-                for feed in feeds:
-                    feed(inst, timing)
-    else:
-        for inst in trace:
-            for feed in feeds:
-                feed(inst)
+    for inst, timing in workload.sampling_plan().timed(trace):
+        for feed in feeds:
+            feed(inst, timing)
     base_result = base.finalize(workload.abbrev)
     return SpeedupRow(
         abbrev=workload.abbrev,

@@ -12,7 +12,7 @@ the configuration constants it bakes in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -79,12 +79,6 @@ for _spec in (
 ):
     register(_spec)
 del _spec
-
-
-def artefact_names(summary_only: bool = False) -> List[str]:
-    """Registered artefact names (paper order)."""
-    return [name for name, spec in ARTEFACTS.items()
-            if not summary_only or spec.summary_multiplier is not None]
 
 
 def get_artefact(name: str) -> ArtefactSpec:

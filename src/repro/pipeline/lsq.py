@@ -44,7 +44,7 @@ class LoadStoreScheduler:
     def __init__(self, config: ProcessorConfig, hierarchy: MemoryHierarchy) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        self.policy = config.effective_lsq_policy
+        self.policy = config.lsq_policy
         self.ports = BandwidthLimiter(config.lsq_width)
         self._min_delay = config.lsq_min_delay
         self._forward_latency = config.store_forward_latency

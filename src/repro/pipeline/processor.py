@@ -14,7 +14,7 @@ from repro.pipeline.functional_units import BandwidthLimiter
 from repro.pipeline.lsq import LoadStoreScheduler
 from repro.predictors.branch import CombinedPredictor, ReturnAddressStack
 from repro.trace.records import DynInst
-from repro.trace.sampling import TIMING, SamplingPlan
+from repro.trace.sampling import SamplingPlan
 
 # Enum members bound once: the per-instruction paths compare against these
 # instead of looking the members up on the class every time.
@@ -108,18 +108,14 @@ class Processor:
             name: str = "") -> SimResult:
         """Simulate a committed instruction stream; returns the result.
 
-        With a :class:`SamplingPlan`, functional segments update caches and
+        With a :class:`SamplingPlan`, functional windows update caches and
         branch predictors only (the paper's sampling scheme); timing
-        segments are fully simulated.
+        windows are fully simulated.  Without one, every instruction is
+        timed.
         """
-        if sampling is not None and sampling.enabled:
-            for segment in sampling.segments(trace):
-                timing = segment.mode == TIMING
-                for inst in segment.instructions:
-                    self.feed(inst, timing=timing)
-        else:
-            for inst in trace:
-                self._time_instruction(inst)
+        feed = self.feed
+        for inst, timing in (sampling or SamplingPlan()).timed(trace):
+            feed(inst, timing)
         return self.finalize(name)
 
     def feed(self, inst: DynInst, timing: bool = True) -> None:

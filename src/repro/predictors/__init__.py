@@ -1,10 +1,6 @@
 """Prediction building blocks: confidence automata, value and branch predictors."""
 
-from repro.predictors.confidence import (
-    ConfidenceKind,
-    ConfidenceState,
-    make_confidence,
-)
+from repro.predictors.confidence import ConfidenceKind, ConfidenceState
 from repro.predictors.stride import StrideValuePredictor
 from repro.predictors.value_prediction import LastValuePredictor
 from repro.predictors.branch import (
@@ -17,7 +13,6 @@ from repro.predictors.branch import (
 __all__ = [
     "ConfidenceKind",
     "ConfidenceState",
-    "make_confidence",
     "LastValuePredictor",
     "StrideValuePredictor",
     "BimodalPredictor",

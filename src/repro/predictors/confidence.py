@@ -63,8 +63,3 @@ class ConfidenceState:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ConfidenceState({self.kind.name}, value={self.value})"
-
-
-def make_confidence(kind: ConfidenceKind) -> ConfidenceState:
-    """Factory used by the DPNT when creating entries."""
-    return ConfidenceState(kind)

@@ -8,7 +8,7 @@ of Section 5.1.
 """
 
 from repro.trace.records import DynInst
-from repro.trace.sampling import SamplingPlan, SampledSegment
+from repro.trace.sampling import SamplingPlan
 from repro.trace.stats import TraceStats, collect_stats
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "TraceStats",
     "collect_stats",
     "SamplingPlan",
-    "SampledSegment",
 ]

@@ -5,27 +5,21 @@ mode, then switches to functional simulation for ``ratio`` times as many
 instructions (during which caches and branch predictors stay warm).  A
 sampling ratio of ``1:2`` means one timing window followed by two windows'
 worth of functional instructions.
+
+The schedule is a property of each record's position in the stream, so
+:meth:`SamplingPlan.timed` labels records as they stream past and never
+holds a window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from itertools import repeat
+from typing import Iterable, Iterator, Tuple
 
 from repro.trace.records import DynInst
 
 OBSERVATION_SIZE = 50_000
-
-TIMING = "timing"
-FUNCTIONAL = "functional"
-
-
-@dataclass
-class SampledSegment:
-    """A contiguous run of instructions simulated in a single mode."""
-
-    mode: str
-    instructions: List[DynInst]
 
 
 @dataclass(frozen=True)
@@ -62,25 +56,16 @@ class SamplingPlan:
     def enabled(self) -> bool:
         return self.functional > 0
 
-    def segments(self, trace: Iterable[DynInst]) -> Iterator[SampledSegment]:
-        """Chop a trace into alternating timing/functional segments."""
-        timing_len = self.timing * self.observation
-        functional_len = self.functional * self.observation
-        mode = TIMING
-        budget = timing_len
-        chunk: List[DynInst] = []
-        for inst in trace:
-            chunk.append(inst)
-            budget -= 1
-            if budget == 0:
-                yield SampledSegment(mode, chunk)
-                chunk = []
-                if self.enabled:
-                    mode = FUNCTIONAL if mode == TIMING else TIMING
-                budget = timing_len if mode == TIMING else functional_len
-        if chunk:
-            yield SampledSegment(mode, chunk)
+    def timed(self, trace: Iterable[DynInst]) -> Iterator[Tuple[DynInst, bool]]:
+        """Yield ``(inst, timing)`` for every record of ``trace``, in order.
 
-    def timing_fraction(self) -> float:
-        """Fraction of instructions simulated in timing mode."""
-        return self.timing / (self.timing + self.functional)
+        ``timing`` is true for ``timing * observation`` records, then false
+        for ``functional * observation``, repeating; a disabled plan times
+        every record.  One record is read per pair yielded.
+        """
+        if not self.enabled:
+            return zip(trace, repeat(True))
+        timing_len = self.timing * self.observation
+        period = timing_len + self.functional * self.observation
+        return ((inst, position % period < timing_len)
+                for position, inst in enumerate(trace))

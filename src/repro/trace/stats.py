@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Sequence
+from typing import Dict, Iterable
 
 from repro.isa.instructions import OpClass
 from repro.trace.records import DynInst
@@ -65,21 +65,3 @@ def collect_stats(trace: Iterable[DynInst]) -> TraceStats:
     for inst in trace:
         stats.observe(inst)
     return stats
-
-
-def tee_observe(trace: Iterable[DynInst], observers: Sequence[object]) -> Iterator[DynInst]:
-    """Stream ``trace``, feeding every instruction to each observer.
-
-    Observers expose ``observe(inst)``.  This lets several analyses share a
-    single (expensive) interpreter pass.
-    """
-    for inst in trace:
-        for obs in observers:
-            obs.observe(inst)
-        yield inst
-
-
-def run_observers(trace: Iterable[DynInst], *observers: object) -> None:
-    """Drive :func:`tee_observe` to exhaustion for its side effects."""
-    for _ in tee_observe(trace, observers):
-        pass

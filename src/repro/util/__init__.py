@@ -7,16 +7,11 @@ the Synonym File and the value predictor are all either fully-associative
 LRU tables or set-associative tables with LRU replacement within a set.
 """
 
-from repro.util.counters import SaturatingCounter
 from repro.util.lru import LRUTable, SetAssociativeTable
-from repro.util.stats import RunningMean, Ratio, geometric_mean, harmonic_mean_speedup
+from repro.util.stats import harmonic_mean_speedup
 
 __all__ = [
     "LRUTable",
     "SetAssociativeTable",
-    "SaturatingCounter",
-    "Ratio",
-    "RunningMean",
-    "geometric_mean",
     "harmonic_mean_speedup",
 ]

@@ -11,7 +11,7 @@ storage model.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 
 class LRUTable:
@@ -148,3 +148,18 @@ class SetAssociativeTable:
     def as_dict(self) -> Dict[Any, Any]:
         """A snapshot of the whole table (testing/debug helper)."""
         return dict(self.items())
+
+
+def make_table(entries: Optional[int],
+               ways: int) -> Union[LRUTable, SetAssociativeTable]:
+    """The table organization the DDT, DPNT and Synonym File share.
+
+    ``entries=None`` is an infinite table and ``ways=0`` a fully-associative
+    one; otherwise ``entries // ways`` sets of ``ways`` entries each.
+    """
+    if entries is None or not ways:
+        return LRUTable(entries)
+    if entries % ways:
+        raise ValueError(
+            f"entries ({entries}) must be divisible by ways ({ways})")
+    return SetAssociativeTable(entries // ways, ways)

@@ -2,62 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
-
-
-class Ratio:
-    """A hit/total counter that renders as a fraction.
-
-    Used for every "fraction of all loads" metric in the paper (coverage,
-    misspeculation rate, locality, ...).
-    """
-
-    __slots__ = ("hits", "total")
-
-    def __init__(self, hits: int = 0, total: int = 0) -> None:
-        self.hits = hits
-        self.total = total
-
-    def record(self, hit: bool) -> None:
-        self.total += 1
-        if hit:
-            self.hits += 1
-
-    @property
-    def value(self) -> float:
-        return self.hits / self.total if self.total else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Ratio({self.hits}/{self.total}={self.value:.4f})"
-
-
-class RunningMean:
-    """Incremental arithmetic mean."""
-
-    __slots__ = ("count", "total")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-
-    def add(self, sample: float) -> None:
-        self.count += 1
-        self.total += sample
-
-    @property
-    def value(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean; every value must be positive."""
-    values = list(values)
-    if not values:
-        raise ValueError("geometric_mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric_mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+from typing import Sequence
 
 
 def harmonic_mean_speedup(speedups: Sequence[float]) -> float:
@@ -72,8 +17,3 @@ def harmonic_mean_speedup(speedups: Sequence[float]) -> float:
     if any(s <= 0 for s in speedups):
         raise ValueError("speedups must be positive ratios")
     return len(speedups) / sum(1.0 / s for s in speedups)
-
-
-def percent(fraction: float) -> str:
-    """Format a fraction the way the paper's tables do (two decimals)."""
-    return f"{fraction * 100.0:.2f}%"

@@ -1,5 +1,7 @@
 """Unit tests for the cloaking/bypassing engine on hand-crafted streams."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -226,3 +228,12 @@ class TestMergePolicies:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             CloakingConfig(merge_policy="bogus")
+
+
+class TestConfig:
+    def test_raw_mode_drops_only_load_recording_from_the_ddt(self):
+        ddt = DDTConfig(size=128, ways=4, split=True, record_all_loads=True,
+                        touch_on_hit=False)
+        config = CloakingConfig(mode=CloakingMode.RAW, ddt=ddt)
+        assert config.ddt == dataclasses.replace(ddt, record_loads=False)
+        assert config.ddt.ways == 4

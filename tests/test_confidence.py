@@ -1,6 +1,6 @@
 """Unit tests for the cloaking confidence mechanisms (Figure 6)."""
 
-from repro.predictors.confidence import ConfidenceKind, ConfidenceState, make_confidence
+from repro.predictors.confidence import ConfidenceKind, ConfidenceState
 
 
 class TestOneBitNonAdaptive:
@@ -45,8 +45,3 @@ class TestTwoBitAdaptive:
         state.on_detect()
         state.on_detect()
         assert state.predict
-
-
-def test_factory():
-    assert make_confidence(ConfidenceKind.ONE_BIT).kind == ConfidenceKind.ONE_BIT
-    assert make_confidence(ConfidenceKind.TWO_BIT).kind == ConfidenceKind.TWO_BIT

@@ -1,9 +1,8 @@
-"""Unit tests for synonyms, DPNT, Synonym File and SRT."""
+"""Unit tests for synonyms, DPNT and Synonym File."""
 
 import pytest
 
 from repro.core.dpnt import DPNT
-from repro.core.srt import SynonymRenameTable
 from repro.core.synonym_file import SynonymFile
 from repro.core.synonyms import MergePolicy, SynonymAllocator
 from repro.predictors.confidence import ConfidenceKind
@@ -121,18 +120,3 @@ class TestSynonymFile:
         assert entry.value == 20
         assert not entry.from_store
 
-
-class TestSRT:
-    def test_bind_resolve_release(self):
-        srt = SynonymRenameTable()
-        srt.bind(5, producer_tag=101)
-        assert srt.resolve(5) == 101
-        srt.release(5, producer_tag=101)
-        assert srt.resolve(5) is None
-
-    def test_release_only_matching_producer(self):
-        srt = SynonymRenameTable()
-        srt.bind(5, producer_tag=101)
-        srt.bind(5, producer_tag=202)   # a younger producer rebinds
-        srt.release(5, producer_tag=101)  # stale release must not clear it
-        assert srt.resolve(5) == 202

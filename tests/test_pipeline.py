@@ -75,7 +75,7 @@ class TestBandwidth:
 class TestConfigValidation:
     @pytest.mark.parametrize("name", [
         "fetch_width", "issue_width", "commit_width", "window_size",
-        "frontend_depth", "lsq_size", "lsq_width"])
+        "frontend_depth", "lsq_width"])
     def test_widths_and_sizes_must_be_positive(self, name):
         with pytest.raises(ValueError, match=name):
             ProcessorConfig(**{name: 0})
@@ -198,8 +198,8 @@ class TestMemoryScheduling:
                                    srcs=(1,))); index += 1
             return out
 
-        spec = Processor(ProcessorConfig(memory_speculation=True))
-        nospec = Processor(ProcessorConfig(memory_speculation=False))
+        spec = Processor(ProcessorConfig(lsq_policy="naive"))
+        nospec = Processor(ProcessorConfig(lsq_policy="no_speculation"))
         cycles_spec = spec.run(iter(trace())).cycles
         cycles_nospec = nospec.run(iter(trace())).cycles
         assert cycles_nospec > cycles_spec

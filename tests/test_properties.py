@@ -9,7 +9,6 @@ from repro.core import CloakingConfig, CloakingEngine, CloakingMode, LoadOutcome
 from repro.dependence.ddt import DDT, DDTConfig, DependenceKind
 from repro.isa.instructions import OpClass
 from repro.trace.records import DynInst
-from repro.util.counters import SaturatingCounter
 from repro.util.lru import LRUTable
 
 # ---------------------------------------------------------------------------
@@ -52,19 +51,6 @@ def test_lru_never_exceeds_capacity(ops, capacity):
         if op == "put":
             table.put(key, key)
         assert len(table) <= capacity
-
-
-# ---------------------------------------------------------------------------
-# Saturating counters
-# ---------------------------------------------------------------------------
-
-@given(updates=st.lists(st.booleans(), max_size=100),
-       maximum=st.integers(1, 7))
-def test_counter_stays_in_range(updates, maximum):
-    counter = SaturatingCounter(maximum=maximum)
-    for outcome in updates:
-        counter.update(outcome)
-        assert 0 <= counter.value <= maximum
 
 
 # ---------------------------------------------------------------------------

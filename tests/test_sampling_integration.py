@@ -1,11 +1,36 @@
 """Integration tests: sampling + cloaked processor + engine diagnostics."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import CloakingConfig
-from repro.pipeline import CloakedProcessor, Processor
+from repro.experiments import fig9
+from repro.isa.instructions import OpClass
+from repro.pipeline import CloakedProcessor, Processor, ProcessorConfig
+from repro.trace.records import DynInst
 from repro.trace.sampling import SamplingPlan
 from repro.workloads import get_workload
+
+NO_WINDOW_PLAN = SamplingPlan(1, 2, observation=500)
+
+
+class CountingTrace:
+    """3000 ALU records that count how many have been read so far."""
+
+    def __init__(self, count=3000):
+        self.count = count
+        self.yielded = 0
+
+    def __iter__(self):
+        for index in range(self.count):
+            self.yielded += 1
+            yield DynInst(index, 0x1000 + 4 * (index % 8), OpClass.IALU,
+                          rd=1 + index % 8)
+
+    def lag(self, inst):
+        """Records read ahead of the one being fed (1 when streaming)."""
+        return self.yielded - inst.index
 
 
 class TestSampledCloakedRuns:
@@ -50,6 +75,47 @@ class TestSampledCloakedRuns:
         unsampled.run(iter(com_trace))
         assert sampled.engine.stats.coverage == pytest.approx(
             unsampled.engine.stats.coverage, abs=0.01)
+
+
+class TestNoWindowHeld:
+    """A sampled driver reads one record ahead of the machines, never a
+    whole timing or functional window."""
+
+    def test_processor_run_streams(self):
+        trace = CountingTrace()
+
+        class LagRecorder(Processor):
+            def __init__(self):
+                super().__init__()
+                self.lags = []
+
+            def feed(self, inst, timing=True):
+                self.lags.append(trace.lag(inst))
+                super().feed(inst, timing)
+
+        machine = LagRecorder()
+        result = machine.run(trace, sampling=NO_WINDOW_PLAN)
+        assert len(machine.lags) == 3000
+        assert max(machine.lags) == 1
+        assert result.timing_instructions == 1000
+
+    def test_fig9_driver_streams(self, monkeypatch):
+        trace = CountingTrace()
+        lags = []
+        feed = Processor.feed
+
+        def recording_feed(self, inst, timing=True):
+            lags.append(trace.lag(inst))
+            feed(self, inst, timing)
+
+        monkeypatch.setattr(Processor, "feed", recording_feed)
+        workload = SimpleNamespace(
+            abbrev="stub", category="int",
+            sampling_plan=lambda: NO_WINDOW_PLAN,
+            trace=lambda scale: iter(trace))
+        fig9._simulate_workload(workload, 1.0, ProcessorConfig())
+        assert len(lags) == (1 + len(fig9.CONFIGS)) * 3000
+        assert max(lags) == 1
 
 
 class TestEngineDiagnostics:

@@ -24,7 +24,6 @@ Regenerate after an intentional change to the simulated machine with::
 """
 
 import dataclasses
-import functools
 import hashlib
 import json
 
@@ -34,7 +33,7 @@ from repro.core import CloakingConfig, CloakingEngine, CloakingMode
 from repro.predictors.confidence import ConfidenceKind
 from repro.pipeline import (CloakedProcessor, Processor, ProcessorConfig,
                             RecoveryPolicy)
-from repro.trace.sampling import TIMING, SamplingPlan
+from repro.trace.sampling import SamplingPlan
 from repro.workloads import get_workload
 
 PLAN = SamplingPlan(1, 2, observation=500)
@@ -76,22 +75,19 @@ def _engines():
     }
 
 
-@functools.lru_cache(maxsize=None)
 def simulate(abbrev: str, scale: float) -> dict:
     """Every count the machines and engines produce on one kernel."""
     machines = _machines()
     engines = _engines()
     outcomes = {name: [] for name in engines}
     trace = get_workload(abbrev).trace(scale=scale)
-    for segment in PLAN.segments(trace):
-        timing = segment.mode == TIMING
-        for inst in segment.instructions:
-            for machine in machines.values():
-                machine.feed(inst, timing=timing)
-            for name, engine in engines.items():
-                outcome = engine.observe(inst)
-                if outcome is not None:
-                    outcomes[name].append(outcome.value)
+    for inst, timing in PLAN.timed(trace):
+        for machine in machines.values():
+            machine.feed(inst, timing=timing)
+        for name, engine in engines.items():
+            outcome = engine.observe(inst)
+            if outcome is not None:
+                outcomes[name].append(outcome.value)
     record = {}
     for name, machine in machines.items():
         result = dataclasses.asdict(machine.finalize(abbrev))

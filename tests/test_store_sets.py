@@ -89,12 +89,6 @@ class TestLSQPolicies:
         processor.run(iter(_racy_trace()))
         assert processor.lsq.violations == 0
 
-    def test_memory_speculation_flag_maps_to_policy(self):
-        config = ProcessorConfig(memory_speculation=False)
-        assert config.effective_lsq_policy == "no_speculation"
-        config = ProcessorConfig(memory_speculation=True)
-        assert config.effective_lsq_policy == "naive"
-
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             ProcessorConfig(lsq_policy="psychic")

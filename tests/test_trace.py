@@ -1,11 +1,13 @@
 """Unit tests for trace records, statistics and sampling."""
 
+from itertools import groupby
+
 import pytest
 
 from repro.isa.instructions import OpClass
 from repro.trace.records import DynInst
-from repro.trace.sampling import FUNCTIONAL, TIMING, SamplingPlan
-from repro.trace.stats import TraceStats, collect_stats, run_observers, tee_observe
+from repro.trace.sampling import SamplingPlan
+from repro.trace.stats import TraceStats, collect_stats
 
 
 def make_trace(n):
@@ -55,23 +57,6 @@ class TestTraceStats:
         assert stats.branch_fraction == 0.0
         assert stats.fp_fraction == 0.0
 
-    def test_tee_observe_feeds_all(self):
-        seen_a, seen_b = [], []
-
-        class Recorder:
-            def __init__(self, sink): self.sink = sink
-            def observe(self, inst): self.sink.append(inst.index)
-
-        trace = make_trace(8)
-        out = list(tee_observe(trace, [Recorder(seen_a), Recorder(seen_b)]))
-        assert out == trace
-        assert seen_a == seen_b == list(range(8))
-
-    def test_run_observers(self):
-        stats = TraceStats()
-        run_observers(make_trace(12), stats)
-        assert stats.instructions == 12
-
 
 class TestSamplingPlan:
     def test_parse(self):
@@ -79,10 +64,6 @@ class TestSamplingPlan:
         assert plan.timing == 1 and plan.functional == 2
         assert plan.enabled
         assert SamplingPlan.parse("N/A").enabled is False
-
-    def test_timing_fraction(self):
-        assert SamplingPlan(1, 2).timing_fraction() == pytest.approx(1 / 3)
-        assert SamplingPlan(1, 0).timing_fraction() == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,15 +76,15 @@ class TestSamplingPlan:
     def test_segments_alternate_and_partition(self):
         plan = SamplingPlan(1, 2, observation=10)
         trace = make_trace(65)
-        segments = list(plan.segments(trace))
-        assert [s.mode for s in segments] == [TIMING, FUNCTIONAL, TIMING,
-                                              FUNCTIONAL, TIMING]
-        assert [len(s.instructions) for s in segments] == [10, 20, 10, 20, 5]
-        flattened = [i for s in segments for i in s.instructions]
-        assert flattened == trace  # segments partition the trace exactly
+        labelled = list(plan.timed(trace))
+        assert [inst for inst, _ in labelled] == trace  # every record, in order
+        runs = [(timing, len(list(group)))
+                for timing, group in groupby(timing for _, timing in labelled)]
+        assert runs == [(True, 10), (False, 20), (True, 10), (False, 20),
+                        (True, 5)]
 
     def test_disabled_plan_yields_single_mode(self):
         plan = SamplingPlan(1, 0, observation=10)
-        segments = list(plan.segments(make_trace(25)))
-        assert all(s.mode == TIMING for s in segments)
-        assert sum(len(s.instructions) for s in segments) == 25
+        labelled = list(plan.timed(make_trace(25)))
+        assert [inst.index for inst, _ in labelled] == list(range(25))
+        assert all(timing for _, timing in labelled)

@@ -1,95 +1,11 @@
-"""Unit tests for saturating counters and statistics helpers."""
-
-import math
+"""Unit tests for the statistics helpers."""
 
 import pytest
 
-from repro.util.counters import SaturatingCounter
-from repro.util.stats import (
-    Ratio,
-    RunningMean,
-    geometric_mean,
-    harmonic_mean_speedup,
-    percent,
-)
-
-
-class TestSaturatingCounter:
-    def test_two_bit_saturates_high(self):
-        counter = SaturatingCounter.two_bit()
-        for _ in range(10):
-            counter.increment()
-        assert counter.value == 3
-
-    def test_two_bit_saturates_low(self):
-        counter = SaturatingCounter.two_bit(initial=3)
-        for _ in range(10):
-            counter.decrement()
-        assert counter.value == 0
-
-    def test_threshold_prediction(self):
-        counter = SaturatingCounter.two_bit(initial=1)
-        assert not counter.predict
-        counter.increment()
-        assert counter.predict
-
-    def test_one_bit(self):
-        counter = SaturatingCounter.one_bit()
-        assert not counter.predict
-        counter.update(True)
-        assert counter.predict
-        counter.update(False)
-        assert not counter.predict
-
-    def test_update_direction(self):
-        counter = SaturatingCounter(maximum=7, initial=3)
-        counter.update(True)
-        assert counter.value == 4
-        counter.update(False)
-        assert counter.value == 3
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(maximum=0)
-        with pytest.raises(ValueError):
-            SaturatingCounter(maximum=3, initial=4)
-
-
-class TestRatio:
-    def test_empty_ratio_is_zero(self):
-        assert Ratio().value == 0.0
-
-    def test_record(self):
-        ratio = Ratio()
-        ratio.record(True)
-        ratio.record(False)
-        ratio.record(True)
-        assert ratio.hits == 2
-        assert ratio.total == 3
-        assert ratio.value == pytest.approx(2 / 3)
-
-
-class TestRunningMean:
-    def test_empty_is_zero(self):
-        assert RunningMean().value == 0.0
-
-    def test_mean(self):
-        mean = RunningMean()
-        for sample in (1.0, 2.0, 3.0):
-            mean.add(sample)
-        assert mean.value == pytest.approx(2.0)
+from repro.util.stats import harmonic_mean_speedup
 
 
 class TestMeans:
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
     def test_harmonic_mean_speedup(self):
         # HM of (1.0, 2.0) = 2 / (1 + 0.5) = 4/3
         assert harmonic_mean_speedup([1.0, 2.0]) == pytest.approx(4 / 3)
@@ -106,6 +22,3 @@ class TestMeans:
             harmonic_mean_speedup([])
         with pytest.raises(ValueError):
             harmonic_mean_speedup([0.0, 1.0])
-
-    def test_percent_format(self):
-        assert percent(0.1234) == "12.34%"
