@@ -66,9 +66,9 @@ class CloakingConfig:
             raise ValueError(f"unknown merge policy {self.merge_policy!r}")
         if self.mode == CloakingMode.RAW and self.ddt.record_loads:
             # The original RAW-only mechanism does not record loads in the
-            # DDT; constructing it with a load-recording DDT silently changes
-            # store visibility (the Section 5.6.2 anomaly), so require the
-            # caller to be explicit.
+            # DDT; a load-recording DDT would change store visibility (the
+            # Section 5.6.2 anomaly), so RAW mode keeps the caller's DDT with
+            # load recording turned off.
             object.__setattr__(self, "ddt",
                                replace(self.ddt, record_loads=False))
 
