@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.dependence.ddt import DDT, DDTConfig
 from repro.dependence.detector import DependenceProfile, DependenceProfiler
@@ -133,16 +131,9 @@ class SimBackend(abc.ABC):
     @abc.abstractmethod
     def address_value_locality(self, workload: Workload, scale: float,
                                ddt_config: Optional[DDTConfig] = None,
-                               tee: Optional[Callable[[DynInst], None]] = None,
                                max_instructions: Optional[int] = None
                                ) -> AddressValueLocalityAnalysis:
-        """Figure 7: address/value locality breakdown.
-
-        ``tee``, when given, additionally receives every committed record
-        in program order — how Figure 7 feeds its cloaking engine (the
-        predict stage) from the same trace pass without a second
-        interpretation.
-        """
+        """Figure 7: address/value locality breakdown."""
 
 
 class ReferenceBackend(SimBackend):
@@ -210,16 +201,11 @@ class ReferenceBackend(SimBackend):
 
     def address_value_locality(self, workload: Workload, scale: float,
                                ddt_config: Optional[DDTConfig] = None,
-                               tee: Optional[Callable[[DynInst], None]] = None,
                                max_instructions: Optional[int] = None
                                ) -> AddressValueLocalityAnalysis:
         analysis = AddressValueLocalityAnalysis(
             ddt_config if ddt_config is not None else DDTConfig(size=128))
-        for inst in self.stream(workload, scale, max_instructions):
-            analysis.observe(inst)
-            if tee is not None:
-                tee(inst)
-        return analysis
+        return analysis.run(self.stream(workload, scale, max_instructions))
 
 
 def backend_names() -> Tuple[str, ...]:

@@ -14,9 +14,10 @@ Stage mapping (see ``docs/columnar.md``):
   Figure 7 address/value comparisons (values compared in ``object``
   columns for exact Python ``==`` semantics — interpreter adds do not
   wrap, so values can exceed float64's exact-integer range).
-* **predict** — not vectorized: the cloaking engine is replayed
-  per-instruction from the materialized table (``tee``), so predictor
-  semantics stay the reference's by construction.
+* **predict** — not vectorized: Figure 7's cloaking engine observes
+  :meth:`NumPyBackend.stream`, the materialized table replayed one
+  record at a time, so predictor semantics stay the reference's by
+  construction.
 
 DDT configurations outside the vectorizable shape (split tables,
 ``record_loads=False``, ``record_all_loads=True``, ``touch_on_hit=False``,
@@ -27,7 +28,7 @@ interpretation, no silent divergence.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -175,15 +176,10 @@ class NumPyBackend(SimBackend):
 
     def address_value_locality(self, workload: Workload, scale: float,
                                ddt_config: Optional[DDTConfig] = None,
-                               tee: Optional[Callable[[DynInst], None]] = None,
                                max_instructions: Optional[int] = None
                                ) -> AddressValueLocalityAnalysis:
         config = ddt_config if ddt_config is not None else DDTConfig(size=128)
         table = self.table(workload, scale, max_instructions)
-        if tee is not None:
-            # predict stage: replay per-instruction consumers verbatim
-            for inst in table.to_dyninsts():
-                tee(inst)
         if not _is_default_config(config):
             return AddressValueLocalityAnalysis(config).run(table.to_dyninsts())
 

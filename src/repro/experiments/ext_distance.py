@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.dependence.distance import DependenceDistanceAnalysis
+from repro.experiments import runner
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import select_workloads
+from repro.workloads.base import Workload
 
 LIMITS = (32, 128, 512, 2048)
 
@@ -31,13 +32,12 @@ class DistanceRow:
     rescued_no_raw: int        # pure data sharing
 
 
-def run(scale: float = 1.0,
-        workloads: Optional[Sequence[str]] = None) -> List[DistanceRow]:
-    rows = []
-    for workload in select_workloads(workloads):
-        analysis = DependenceDistanceAnalysis(rescue_limit=128)
-        analysis.run(workload.trace(scale=scale))
-        rows.append(DistanceRow(
+def observe(workload: Workload, scale: float) -> runner.Observer:
+    """One cell: RAW and RAR distances and the rescued population."""
+    analysis = DependenceDistanceAnalysis(rescue_limit=128)
+
+    def finish() -> List[DistanceRow]:
+        return [DistanceRow(
             abbrev=workload.abbrev,
             category=workload.category,
             raw_total=analysis.raw.total,
@@ -46,8 +46,13 @@ def run(scale: float = 1.0,
             rar_within=[analysis.rar.fraction_within(n) for n in LIMITS],
             rescued_distant_raw=analysis.rescued_distant_raw,
             rescued_no_raw=analysis.rescued_no_raw,
-        ))
-    return rows
+        )]
+    return analysis.observe, finish
+
+
+def run(scale: float = 1.0,
+        workloads: Optional[Sequence[str]] = None) -> List[DistanceRow]:
+    return runner.run(observe, scale, workloads)
 
 
 def render(rows: List[DistanceRow]) -> str:

@@ -4,8 +4,9 @@ Not a paper artefact: the paper's Section 5.5 / conclusion *suggest* a
 synergy between cloaking/bypassing and load value prediction ("these
 observations suggest a potential synergy of the two techniques"); this
 harness quantifies it.  For every program it reports coverage of: cloaking
-alone, a confidence-gated last-value predictor alone, and the hybrid that
-consults cloaking first and falls back to the value predictor.
+alone, the hit rate of a last-value predictor alone, and the hybrid that
+consults cloaking first and falls back to the confidence-gated value
+predictor.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core import CloakingConfig, CloakingEngine
+from repro.experiments import runner
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import select_workloads
 from repro.predictors.hybrid import HybridLoadPredictor
-from repro.predictors.value_prediction import LastValuePredictor
+from repro.workloads.base import Workload
 
 
 @dataclass
@@ -34,29 +34,27 @@ class HybridRow:
         return self.hybrid_coverage - self.cloaking_coverage
 
 
-def run(scale: float = 1.0,
-        workloads: Optional[Sequence[str]] = None) -> List[HybridRow]:
-    rows = []
-    for workload in select_workloads(workloads):
-        cloak = CloakingEngine(CloakingConfig.paper_overlap())
-        vp = LastValuePredictor()
-        hybrid = HybridLoadPredictor()
-        loads = vp_correct = 0
-        for inst in workload.trace(scale=scale):
-            cloak.observe(inst)
-            hybrid.observe(inst)
-            if inst.is_load:
-                loads += 1
-                vp_correct += vp.observe(inst.pc, inst.value)
-        rows.append(HybridRow(
+def observe(workload: Workload, scale: float) -> runner.Observer:
+    """One cell: the hybrid, whose own engine and value predictor give
+    the cloaking-alone and VP-alone columns (each observes every record,
+    and the VP every load, exactly as standalone copies would)."""
+    hybrid = HybridLoadPredictor()
+
+    def finish() -> List[HybridRow]:
+        return [HybridRow(
             abbrev=workload.abbrev,
             category=workload.category,
-            cloaking_coverage=cloak.stats.coverage,
-            vp_hit_rate=vp_correct / loads if loads else 0.0,
+            cloaking_coverage=hybrid.engine.stats.coverage,
+            vp_hit_rate=hybrid.value_predictor.accuracy,
             hybrid_coverage=hybrid.stats.coverage,
             hybrid_misspec=hybrid.stats.misspeculation_rate,
-        ))
-    return rows
+        )]
+    return hybrid.observe, finish
+
+
+def run(scale: float = 1.0,
+        workloads: Optional[Sequence[str]] = None) -> List[HybridRow]:
+    return runner.run(observe, scale, workloads)
 
 
 def render(rows: List[HybridRow]) -> str:

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.columnar.backend import DEFAULT_BACKEND, get_backend
+from repro.dependence.locality import RARLocalityAnalysis
+from repro.experiments import runner
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import select_workloads
+from repro.workloads.base import Workload
 
 WINDOWS = {"infinite": None, "4K": 4096}
 
@@ -25,21 +27,38 @@ class LocalityRow:
     locality: List[float]  # locality(1) .. locality(max_n)
 
 
+def observe(workload: Workload, scale: float, max_n: int = 4,
+            backend: str = DEFAULT_BACKEND) -> runner.Observer:
+    """One cell: RAR dependence locality in both address windows."""
+    if backend != "reference":
+        sim = get_backend(backend)
+        return None, lambda: _rows(workload, max_n, sim.rar_locality(
+            workload, scale, max_n, WINDOWS))
+    analyses = {label: RARLocalityAnalysis(max_n=max_n, window=window)
+                for label, window in WINDOWS.items()}
+    observers = [analysis.observe for analysis in analyses.values()]
+
+    def feed(inst) -> None:
+        for observe_one in observers:
+            observe_one(inst)
+    return feed, lambda: _rows(workload, max_n, analyses)
+
+
+def _rows(workload: Workload, max_n: int, results) -> List[LocalityRow]:
+    """One row per window from analyses or backend results alike."""
+    return [LocalityRow(
+        abbrev=workload.abbrev,
+        window=label,
+        sink_loads=result.sink_loads,
+        locality=[result.locality(n) for n in range(1, max_n + 1)],
+    ) for label, result in results.items()]
+
+
 def run(scale: float = 1.0, workloads: Optional[Sequence[str]] = None,
         max_n: int = 4, backend: str = DEFAULT_BACKEND) -> List[LocalityRow]:
     """Measure RAR dependence locality for both address windows."""
-    rows = []
-    sim = get_backend(backend)
-    for workload in select_workloads(workloads):
-        results = sim.rar_locality(workload, scale, max_n, WINDOWS)
-        for label, result in results.items():
-            rows.append(LocalityRow(
-                abbrev=workload.abbrev,
-                window=label,
-                sink_loads=result.sink_loads,
-                locality=[result.locality(n) for n in range(1, max_n + 1)],
-            ))
-    return rows
+    return runner.run(observe, scale, workloads, max_n=max_n,
+                      backend=backend)
 
 
 def render(rows: List[LocalityRow]) -> str:

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.backend import DEFAULT_BACKEND, get_backend
+from repro.dependence.ddt import DDTConfig
+from repro.dependence.detector import DependenceProfiler
+from repro.experiments import runner
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import select_workloads
+from repro.workloads.base import Workload
 
 DDT_SIZES: Tuple[int, ...] = (32, 64, 128, 256, 512, 1024, 2048)
 
@@ -32,22 +35,34 @@ class SweepRow:
         return self.raw_fraction + self.rar_fraction
 
 
+def observe(workload: Workload, scale: float,
+            sizes: Sequence[int] = DDT_SIZES,
+            backend: str = DEFAULT_BACKEND) -> runner.Observer:
+    """One cell: every DDT size sees the same trace."""
+    if backend != "reference":
+        sim = get_backend(backend)
+        return None, lambda: _rows(workload, sim.ddt_profiles(
+            workload, scale, list(sizes)))
+    profiler = DependenceProfiler([DDTConfig(size=size) for size in sizes])
+    return profiler.observe, lambda: _rows(workload, profiler.profiles)
+
+
+def _rows(workload: Workload, profiles) -> List[SweepRow]:
+    return [SweepRow(
+        abbrev=workload.abbrev,
+        category=workload.category,
+        ddt_size=profile.config.size,
+        raw_fraction=profile.raw_fraction,
+        rar_fraction=profile.rar_fraction,
+    ) for profile in profiles]
+
+
 def run(scale: float = 1.0, workloads: Optional[Sequence[str]] = None,
         sizes: Sequence[int] = DDT_SIZES,
         backend: str = DEFAULT_BACKEND) -> List[SweepRow]:
     """One trace pass per workload drives every DDT size simultaneously."""
-    rows = []
-    sim = get_backend(backend)
-    for workload in select_workloads(workloads):
-        for profile in sim.ddt_profiles(workload, scale, list(sizes)):
-            rows.append(SweepRow(
-                abbrev=workload.abbrev,
-                category=workload.category,
-                ddt_size=profile.config.size,
-                raw_fraction=profile.raw_fraction,
-                rar_fraction=profile.rar_fraction,
-            ))
-    return rows
+    return runner.run(observe, scale, workloads, sizes=sizes,
+                      backend=backend)
 
 
 def render(rows: List[SweepRow]) -> str:

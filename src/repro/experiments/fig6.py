@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core import CloakingConfig, CloakingEngine
+from repro.experiments import runner
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import class_means, select_workloads
+from repro.experiments.runner import class_means
 from repro.predictors.confidence import ConfidenceKind
+from repro.workloads.base import Workload
 
 
 @dataclass
@@ -39,32 +41,35 @@ class AccuracyRow:
         return self.misspec_raw + self.misspec_rar
 
 
+def observe(workload: Workload, scale: float) -> runner.Observer:
+    """One cell: both confidence mechanisms see the same trace."""
+    engines = {
+        kind: CloakingEngine(CloakingConfig.paper_accuracy(confidence=kind))
+        for kind in (ConfidenceKind.ONE_BIT, ConfidenceKind.TWO_BIT)
+    }
+    one_bit, two_bit = (engine.observe for engine in engines.values())
+
+    def feed(inst) -> None:
+        one_bit(inst)
+        two_bit(inst)
+
+    def finish() -> List[AccuracyRow]:
+        return [AccuracyRow(
+            abbrev=workload.abbrev,
+            category=workload.category,
+            confidence=kind.value,
+            coverage_raw=engine.stats.coverage_raw,
+            coverage_rar=engine.stats.coverage_rar,
+            misspec_raw=engine.stats.misspeculation_raw,
+            misspec_rar=engine.stats.misspeculation_rar,
+        ) for kind, engine in engines.items()]
+    return feed, finish
+
+
 def run(scale: float = 1.0,
         workloads: Optional[Sequence[str]] = None) -> List[AccuracyRow]:
     """Run both confidence mechanisms over the suite in one trace pass each."""
-    rows = []
-    for workload in select_workloads(workloads):
-        engines = {
-            ConfidenceKind.ONE_BIT: CloakingEngine(
-                CloakingConfig.paper_accuracy(confidence=ConfidenceKind.ONE_BIT)),
-            ConfidenceKind.TWO_BIT: CloakingEngine(
-                CloakingConfig.paper_accuracy(confidence=ConfidenceKind.TWO_BIT)),
-        }
-        for inst in workload.trace(scale=scale):
-            for engine in engines.values():
-                engine.observe(inst)
-        for kind, engine in engines.items():
-            stats = engine.stats
-            rows.append(AccuracyRow(
-                abbrev=workload.abbrev,
-                category=workload.category,
-                confidence=kind.value,
-                coverage_raw=stats.coverage_raw,
-                coverage_rar=stats.coverage_rar,
-                misspec_raw=stats.misspeculation_raw,
-                misspec_rar=stats.misspeculation_rar,
-            ))
-    return rows
+    return runner.run(observe, scale, workloads)
 
 
 def render(rows: List[AccuracyRow]) -> str:

@@ -16,8 +16,10 @@ from typing import List, Optional, Sequence
 
 from repro.columnar.backend import DEFAULT_BACKEND, get_backend
 from repro.core import CloakingConfig, CloakingEngine
+from repro.dependence.locality import AddressValueLocalityAnalysis
+from repro.experiments import runner
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import select_workloads
+from repro.workloads.base import Workload
 
 
 @dataclass
@@ -49,30 +51,49 @@ class LocalityBreakdownRow:
         return self.coverage_raw + self.coverage_rar
 
 
+def observe(workload: Workload, scale: float,
+            backend: str = DEFAULT_BACKEND) -> runner.Observer:
+    """One cell: the locality breakdown and the cloaking engine (the
+    predict stage, always per instruction) see the same trace."""
+    engine = CloakingEngine(CloakingConfig.paper_accuracy())
+    if backend != "reference":
+        sim = get_backend(backend)
+
+        def finish_own() -> List[LocalityBreakdownRow]:
+            for inst in sim.stream(workload, scale):
+                engine.observe(inst)
+            return _rows(workload, sim.address_value_locality(
+                workload, scale), engine)
+        return None, finish_own
+    analysis = AddressValueLocalityAnalysis()
+    observe_locality, observe_engine = analysis.observe, engine.observe
+
+    def feed(inst) -> None:
+        observe_locality(inst)
+        observe_engine(inst)
+    return feed, lambda: _rows(workload, analysis, engine)
+
+
+def _rows(workload: Workload, analysis: AddressValueLocalityAnalysis,
+          engine: CloakingEngine) -> List[LocalityBreakdownRow]:
+    stats = engine.stats
+    return [LocalityBreakdownRow(
+        abbrev=workload.abbrev,
+        category=workload.category,
+        addr_raw=analysis.address.fraction("raw"),
+        addr_rar=analysis.address.fraction("rar"),
+        addr_none=analysis.address.fraction("none"),
+        value_raw=analysis.value.fraction("raw"),
+        value_rar=analysis.value.fraction("rar"),
+        value_none=analysis.value.fraction("none"),
+        coverage_raw=stats.coverage_raw,
+        coverage_rar=stats.coverage_rar,
+    )]
+
+
 def run(scale: float = 1.0, workloads: Optional[Sequence[str]] = None,
         backend: str = DEFAULT_BACKEND) -> List[LocalityBreakdownRow]:
-    rows = []
-    sim = get_backend(backend)
-    for workload in select_workloads(workloads):
-        # the locality stage may be vectorized; the cloaking engine (the
-        # predict stage) always sees the per-instruction stream via ``tee``
-        engine = CloakingEngine(CloakingConfig.paper_accuracy())
-        analysis = sim.address_value_locality(workload, scale,
-                                              tee=engine.observe)
-        stats = engine.stats
-        rows.append(LocalityBreakdownRow(
-            abbrev=workload.abbrev,
-            category=workload.category,
-            addr_raw=analysis.address.fraction("raw"),
-            addr_rar=analysis.address.fraction("rar"),
-            addr_none=analysis.address.fraction("none"),
-            value_raw=analysis.value.fraction("raw"),
-            value_rar=analysis.value.fraction("rar"),
-            value_none=analysis.value.fraction("none"),
-            coverage_raw=stats.coverage_raw,
-            coverage_rar=stats.coverage_rar,
-        ))
-    return rows
+    return runner.run(observe, scale, workloads, backend=backend)
 
 
 def render(rows: List[LocalityBreakdownRow]) -> str:

@@ -1,13 +1,30 @@
-"""Shared experiment plumbing: workload selection and class means."""
+"""Shared experiment plumbing: workload selection, the trace pass every
+accuracy artefact observes, and class means.
+
+An accuracy artefact is an observer of one committed instruction stream.
+Its module's ``observe(workload, scale, **params)`` builds one cell's
+state and returns ``(feed, finish)``: ``feed(inst)`` takes each committed
+record in program order, and ``finish()`` returns the cell's rows.  A
+``None`` feed marks a cell that reads no shared stream (the numpy backend
+brings its own trace), so ``finish`` alone computes it.
+:func:`observe_pass` drives any number of observers from one
+interpretation of a workload; the harness runs every such cell of one
+(workload, scale) that way, and :func:`run` is the same pass for one
+artefact.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.trace.records import DynInst
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.base import Workload
 
 DEFAULT_SCALE = 1.0
+
+#: one cell's ``(feed, finish)``; see the module docstring
+Observer = Tuple[Optional[Callable[[DynInst], None]], Callable[[], list]]
 
 
 def select_workloads(names: Optional[Sequence[str]] = None) -> List[Workload]:
@@ -34,6 +51,29 @@ def select_workloads(names: Optional[Sequence[str]] = None) -> List[Workload]:
                 f"unknown workload abbreviation {name!r}; "
                 f"valid abbreviations: {valid}") from None
     return selected
+
+
+def observe_pass(workload: Workload, scale: float,
+                 observers: Sequence[Observer]) -> List[list]:
+    """Feed one trace of ``workload`` to every observer; their rows.
+
+    The workload is interpreted at most once, and not at all when no
+    observer has a feed.
+    """
+    feeds = [feed for feed, _ in observers if feed is not None]
+    if feeds:
+        for inst in workload.trace(scale=scale):
+            for feed in feeds:
+                feed(inst)
+    return [finish() for _, finish in observers]
+
+
+def run(observe: Callable[..., Observer], scale: float = DEFAULT_SCALE,
+        workloads: Optional[Sequence[str]] = None, **params) -> list:
+    """``observe``'s rows for the selected workloads, one pass each."""
+    return [row for workload in select_workloads(workloads)
+            for row in observe_pass(
+                workload, scale, [observe(workload, scale, **params)])[0]]
 
 
 def class_means(values_by_workload, workloads) -> tuple:

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.experiments import runner
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import select_workloads
-from repro.trace.stats import collect_stats
+from repro.trace.stats import TraceStats
+from repro.workloads.base import Workload
 
 #: The paper's Table 5.1: (IC in millions, loads, stores, sampling ratio).
 PAPER_TABLE51 = {
@@ -48,21 +49,26 @@ class CharacteristicsRow:
     sampling: str
 
 
-def run(scale: float = 1.0,
-        workloads: Optional[Sequence[str]] = None) -> List[CharacteristicsRow]:
-    """Measure execution characteristics for the selected workloads."""
-    rows = []
-    for workload in select_workloads(workloads):
-        stats = collect_stats(workload.trace(scale=scale))
-        rows.append(CharacteristicsRow(
+def observe(workload: Workload, scale: float) -> runner.Observer:
+    """One cell: count the instruction mix of ``workload``'s trace."""
+    stats = TraceStats()
+
+    def finish() -> List[CharacteristicsRow]:
+        return [CharacteristicsRow(
             abbrev=workload.abbrev,
             spec_name=workload.spec_name,
             instructions=stats.instructions,
             load_fraction=stats.load_fraction,
             store_fraction=stats.store_fraction,
             sampling=workload.sampling,
-        ))
-    return rows
+        )]
+    return stats.observe, finish
+
+
+def run(scale: float = 1.0,
+        workloads: Optional[Sequence[str]] = None) -> List[CharacteristicsRow]:
+    """Measure execution characteristics for the selected workloads."""
+    return runner.run(observe, scale, workloads)
 
 
 def render(rows: List[CharacteristicsRow]) -> str:

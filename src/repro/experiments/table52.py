@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core import CloakingConfig, CloakingEngine, LoadOutcome
+from repro.experiments import runner
 from repro.experiments.report import format_table, pct
-from repro.experiments.runner import select_workloads
 from repro.predictors.value_prediction import LastValuePredictor
+from repro.workloads.base import Workload
 
 
 @dataclass
@@ -39,31 +40,35 @@ class OverlapRow:
         return self.frac(self.cloak_only_raw + self.cloak_only_rar)
 
 
+def observe(workload: Workload, scale: float) -> runner.Observer:
+    """One cell: cloaking and a last-value predictor on every load."""
+    engine = CloakingEngine(CloakingConfig.paper_overlap())
+    predictor = LastValuePredictor(capacity=16 * 1024)
+    row = OverlapRow(workload.abbrev, workload.category, 0, 0, 0, 0, 0)
+    observe_engine, observe_vp = engine.observe, predictor.observe
+
+    def feed(inst) -> None:
+        outcome = observe_engine(inst)
+        if not inst.is_load:
+            return
+        row.loads += 1
+        vp_correct = observe_vp(inst.pc, inst.value)
+        cloak_correct = outcome is not None and outcome.correct
+        if cloak_correct and not vp_correct:
+            if outcome == LoadOutcome.CORRECT_RAW:
+                row.cloak_only_raw += 1
+            else:
+                row.cloak_only_rar += 1
+        elif vp_correct and not cloak_correct:
+            row.vp_only += 1
+        elif vp_correct and cloak_correct:
+            row.both += 1
+    return feed, lambda: [row]
+
+
 def run(scale: float = 1.0,
         workloads: Optional[Sequence[str]] = None) -> List[OverlapRow]:
-    rows = []
-    for workload in select_workloads(workloads):
-        engine = CloakingEngine(CloakingConfig.paper_overlap())
-        predictor = LastValuePredictor(capacity=16 * 1024)
-        row = OverlapRow(workload.abbrev, workload.category, 0, 0, 0, 0, 0)
-        for inst in workload.trace(scale=scale):
-            outcome = engine.observe(inst)
-            if not inst.is_load:
-                continue
-            row.loads += 1
-            vp_correct = predictor.observe(inst.pc, inst.value)
-            cloak_correct = outcome is not None and outcome.correct
-            if cloak_correct and not vp_correct:
-                if outcome == LoadOutcome.CORRECT_RAW:
-                    row.cloak_only_raw += 1
-                else:
-                    row.cloak_only_rar += 1
-            elif vp_correct and not cloak_correct:
-                row.vp_only += 1
-            elif vp_correct and cloak_correct:
-                row.both += 1
-        rows.append(row)
-    return rows
+    return runner.run(observe, scale, workloads)
 
 
 def render(rows: List[OverlapRow]) -> str:

@@ -6,7 +6,8 @@ and each job ends in one ``settle`` call with its rows (``None`` and an
 error when it failed).
 
 * ``inline`` (:func:`~repro.harness.backends.inline.run_inline`) — jobs
-  run serially in the calling process (``workers=0``).
+  run serially in the calling process (``workers=0``), the cells that
+  observe a trace in one shared pass per (workload, scale).
 * ``fork`` and ``worker``
   (:func:`~repro.harness.backends.worker.run_queued`) — ``workers``
   local queue workers (:mod:`repro.harness.worker`) drain a queue the

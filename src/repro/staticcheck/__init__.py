@@ -15,7 +15,7 @@ Rule families (full reference in docs/staticcheck.md):
 
 * ``DT*`` determinism — unordered iteration, unseeded randomness,
   wall-clock reads reachable from artefact entry points (a call-graph
-  pass seeded at ``run``/``run_one``/``render``/``main`` and
+  pass seeded at ``run``/``run_one``/``observe``/``render``/``main`` and
   :mod:`repro.util.hashing`).
 * ``FH*`` float hygiene — float dict keys and exact float comparison
   (the PR 2 ``_program_cache`` bug class).

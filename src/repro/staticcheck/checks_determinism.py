@@ -51,7 +51,7 @@ WALLCLOCK = {
 }
 
 #: entry-point names seeding the DT301 reachability pass
-ENTRY_POINT_NAMES = ("run", "run_one", "render", "main")
+ENTRY_POINT_NAMES = ("run", "run_one", "observe", "render", "main")
 
 
 def _module_is_harness(module: str) -> bool:
@@ -246,8 +246,9 @@ def _wallclock_calls(info_node: ast.AST,
 
 def check_wallclock(files, graph: CallGraph) -> List[Finding]:
     """DT301 over a file set: wall-clock reads reachable from artefact
-    entry points (``run``/``run_one``/``render``/``main`` outside the
-    harness) or from hashing modules, plus any import-time read."""
+    entry points (``run``/``run_one``/``observe``/``render``/``main``
+    outside the harness) or from hashing modules, plus any import-time
+    read."""
     seeds = []
     for qual, info in graph.functions.items():
         if _module_is_harness(info.module):

@@ -73,6 +73,28 @@ class TestHybridPredictor:
         # raw hit rate scaled by a margin for the gating warm-up
         assert hybrid.stats.coverage >= 0.5 * (vp_correct / loads)
 
+    def test_components_count_like_standalone_copies(self):
+        """ext_hybrid reports the hybrid's own engine and value predictor
+        as the cloaking-alone and VP-alone columns: both must count
+        exactly what a standalone engine and predictor would."""
+        from dataclasses import asdict
+
+        from repro.core import CloakingConfig, CloakingEngine
+        from repro.predictors.value_prediction import LastValuePredictor
+
+        hybrid = HybridLoadPredictor()
+        cloak = CloakingEngine(CloakingConfig.paper_overlap())
+        vp = LastValuePredictor()
+        for inst in get_workload("li").trace(scale=0.05):
+            hybrid.observe(inst)
+            cloak.observe(inst)
+            if inst.is_load:
+                vp.observe(inst.pc, inst.value)
+        assert asdict(hybrid.engine.stats) == asdict(cloak.stats)
+        predictor = hybrid.value_predictor
+        assert predictor.predictions == vp.predictions == cloak.stats.loads
+        assert predictor.correct == vp.correct > 0
+
     def test_stats_consistency(self):
         hybrid = HybridLoadPredictor()
         for inst in get_workload("li").trace(scale=0.01):

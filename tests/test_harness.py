@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.experiments import fig2, fig6, summary
+from repro.experiments import fig2, fig6, summary, table51
 from repro.harness.api import HarnessError, run_artefacts
-from repro.harness.jobs import (JobPolicy, JobSpec, expand_jobs, make_job,
-                                retry_backoff_delay)
+from repro.harness.jobs import (JobPolicy, JobSpec, execute_job, expand_jobs,
+                                make_job, render_rows, retry_backoff_delay)
 from repro.harness.manifest import (STATUS_COMPUTED, STATUS_FAILED,
                                     STATUS_HIT, RunManifest)
 from repro.harness.registry import ARTEFACTS, ArtefactSpec
@@ -220,6 +220,77 @@ class TestParallelEqualsSerial:
         cached = run_artefacts([("fig2", SCALE)], WORKLOADS, workers=0,
                                store=store).rows("fig2")
         assert fig2.render(cached) == fig2.render(fresh)
+
+
+# ---------------------------------------------------------------------------
+# inline runs: one trace pass per (workload, scale)
+
+#: the accuracy artefacts, which observe a shared trace
+ACCURACY = ("table51", "fig2", "fig5", "fig6", "fig7", "table52",
+            "ext_hybrid", "ext_distance")
+
+MIDSTREAM = ArtefactSpec("midstream", "tests.midstream_helpers", "Midstream")
+
+
+@pytest.fixture
+def trace_calls(monkeypatch):
+    """Every ``Workload.trace`` call's workload abbreviation, in order."""
+    from repro.workloads.base import Workload
+
+    calls = []
+    original = Workload.trace
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.abbrev)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(Workload, "trace", counting)
+    return calls
+
+
+class TestSharedPass:
+    def test_renders_like_each_cell_alone(self, tmp_path):
+        kernels = ["li", "tom"]  # one integer and one FP kernel
+        store = ResultStore(tmp_path)
+        outcome = run_artefacts([(name, SCALE) for name in ACCURACY],
+                                kernels, workers=0, store=store)
+        for name in ACCURACY:
+            alone = {spec: execute_job(spec)
+                     for spec in expand_jobs(name, SCALE, kernels)}
+            assert (render_rows(name, outcome.rows(name))
+                    == render_rows(name, [row for rows in alone.values()
+                                          for row in rows])), name
+            # one store object per cell, under the key a lone cell uses
+            for spec, rows in alone.items():
+                assert store.get(store.key_for(spec)) == rows
+
+    def test_one_trace_per_kernel(self, trace_calls):
+        run_artefacts([(name, SCALE) for name in ACCURACY], ["li", "tom"],
+                      workers=0)
+        assert sorted(trace_calls) == ["li", "tom"]
+
+    def test_timing_figures_keep_their_own_pass(self, trace_calls):
+        """fig9 and fig10 share no pass: one fig9+fig10 pass would hold
+        both figures' machines at once for one interpretation."""
+        run_artefacts([("fig9", SCALE), ("fig10", SCALE)], ["li"],
+                      workers=0)
+        assert trace_calls == ["li", "li"]
+
+    def test_faulty_observer_fails_alone(self, monkeypatch):
+        monkeypatch.setitem(ARTEFACTS, "midstream", MIDSTREAM)
+        policy = JobPolicy(retries=1, retry_backoff=0.0)
+        outcome = run_artefacts([("midstream", SCALE), ("table51", SCALE)],
+                                ["li"], workers=0, retries=policy.retries,
+                                retry_backoff=policy.retry_backoff,
+                                allow_failures=True)
+        records = {job.artefact: job for job in outcome.manifest.jobs}
+        failed = records["midstream"]
+        assert failed.status == STATUS_FAILED
+        assert failed.attempts == policy.attempts
+        assert "observer failed mid-stream" in failed.error
+        assert records["table51"].status == STATUS_COMPUTED
+        assert records["table51"].attempts == 1
+        assert outcome.rows("table51") == table51.run(scale=SCALE,
+                                                      workloads=["li"])
 
 
 # ---------------------------------------------------------------------------
