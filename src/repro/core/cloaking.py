@@ -46,11 +46,11 @@ class LoadOutcome(enum.Enum):
 
     @property
     def speculated(self) -> bool:
-        return self is not LoadOutcome.NOT_PREDICTED
+        return self is not _NOT_PREDICTED
 
     @property
     def correct(self) -> bool:
-        return self in (LoadOutcome.CORRECT_RAW, LoadOutcome.CORRECT_RAR)
+        return self is _CORRECT_RAW or self is _CORRECT_RAR
 
 
 _NOT_PREDICTED = LoadOutcome.NOT_PREDICTED

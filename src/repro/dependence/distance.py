@@ -18,7 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.isa.instructions import OpClass
 from repro.trace.records import DynInst
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 
 class RecencyRanker:
@@ -146,11 +150,12 @@ class DependenceDistanceAnalysis:
 
     def observe(self, inst: DynInst) -> None:
         """Account one committed instruction."""
-        if not inst.is_mem:
+        cls = inst.opclass
+        if cls != _LOAD and cls != _STORE:
             return
         word = inst.word_addr
         distance = self._ranker.touch(word)
-        if inst.is_store:
+        if cls == _STORE:
             self._last_store_time[word] = self._ranker.now
             self._load_seen.pop(word, None)
             return

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.dependence.ddt import DDT, DDTConfig, DependenceKind
+from repro.isa.instructions import OpClass
 from repro.trace.records import DynInst
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_RAW = DependenceKind.RAW
+_RAR = DependenceKind.RAR
 
 
 class _MRUList:
@@ -64,13 +70,14 @@ class DependenceWorkingSetAnalysis:
 
     def observe(self, inst: DynInst) -> None:
         """Account one committed instruction."""
-        if inst.is_store:
+        cls = inst.opclass
+        if cls == _STORE:
             self._ddt.observe_store(inst.pc, inst.word_addr)
             return
-        if not inst.is_load:
+        if cls != _LOAD:
             return
         dep = self._ddt.observe_load(inst.pc, inst.word_addr)
-        if dep is None or dep.kind != DependenceKind.RAR:
+        if dep is None or dep.kind != _RAR:
             return
         self.sink_loads += 1
         self._sources.setdefault(dep.sink_pc, set()).add(dep.source_pc)
@@ -118,13 +125,14 @@ class RARLocalityAnalysis:
 
     def observe(self, inst: DynInst) -> None:
         """Account one committed instruction."""
-        if inst.is_store:
+        cls = inst.opclass
+        if cls == _STORE:
             self._ddt.observe_store(inst.pc, inst.word_addr)
             return
-        if not inst.is_load:
+        if cls != _LOAD:
             return
         dep = self._ddt.observe_load(inst.pc, inst.word_addr)
-        if dep is None or dep.kind != DependenceKind.RAR:
+        if dep is None or dep.kind != _RAR:
             return
         self.sink_loads += 1
         history = self._history.get(dep.sink_pc)
@@ -187,16 +195,17 @@ class AddressValueLocalityAnalysis:
 
     def observe(self, inst: DynInst) -> None:
         """Account one committed instruction."""
-        if inst.is_store:
+        cls = inst.opclass
+        if cls == _STORE:
             self._ddt.observe_store(inst.pc, inst.word_addr)
             return
-        if not inst.is_load:
+        if cls != _LOAD:
             return
         pc = inst.pc
         dep = self._ddt.observe_load(pc, inst.word_addr)
         if dep is None:
             bucket = "none"
-        elif dep.kind == DependenceKind.RAW:
+        elif dep.kind == _RAW:
             bucket = "raw"
         else:
             bucket = "rar"

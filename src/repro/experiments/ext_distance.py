@@ -32,7 +32,8 @@ class DistanceRow:
     rescued_no_raw: int        # pure data sharing
 
 
-def observe(workload: Workload, scale: float) -> runner.Observer:
+def observe(workload: Workload, scale: float,
+            models: runner.Models) -> runner.Observer:
     """One cell: RAW and RAR distances and the rescued population."""
     analysis = DependenceDistanceAnalysis(rescue_limit=128)
 

@@ -34,11 +34,13 @@ class HybridRow:
         return self.hybrid_coverage - self.cloaking_coverage
 
 
-def observe(workload: Workload, scale: float) -> runner.Observer:
+def observe(workload: Workload, scale: float,
+            models: runner.Models) -> runner.Observer:
     """One cell: the hybrid, whose own engine and value predictor give
     the cloaking-alone and VP-alone columns (each observes every record,
-    and the VP every load, exactly as standalone copies would)."""
-    hybrid = HybridLoadPredictor()
+    and the VP every load, exactly as standalone copies would).  It is
+    the pass's shared hybrid, the one Table 5.2 reads per load."""
+    hybrid = models.get(HybridLoadPredictor)
 
     def finish() -> List[HybridRow]:
         return [HybridRow(
@@ -49,7 +51,7 @@ def observe(workload: Workload, scale: float) -> runner.Observer:
             hybrid_coverage=hybrid.stats.coverage,
             hybrid_misspec=hybrid.stats.misspeculation_rate,
         )]
-    return hybrid.observe, finish
+    return None, finish
 
 
 def run(scale: float = 1.0,

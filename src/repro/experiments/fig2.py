@@ -27,7 +27,8 @@ class LocalityRow:
     locality: List[float]  # locality(1) .. locality(max_n)
 
 
-def observe(workload: Workload, scale: float, max_n: int = 4,
+def observe(workload: Workload, scale: float, models: runner.Models,
+            max_n: int = 4,
             backend: str = DEFAULT_BACKEND) -> runner.Observer:
     """One cell: RAR dependence locality in both address windows."""
     if backend != "reference":

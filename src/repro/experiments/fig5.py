@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.backend import DEFAULT_BACKEND, get_backend
 from repro.dependence.ddt import DDTConfig
-from repro.dependence.detector import DependenceProfiler
+from repro.dependence.detector import make_profiler
 from repro.experiments import runner
 from repro.experiments.report import format_table, pct
 from repro.workloads.base import Workload
@@ -35,15 +35,16 @@ class SweepRow:
         return self.raw_fraction + self.rar_fraction
 
 
-def observe(workload: Workload, scale: float,
+def observe(workload: Workload, scale: float, models: runner.Models,
             sizes: Sequence[int] = DDT_SIZES,
             backend: str = DEFAULT_BACKEND) -> runner.Observer:
-    """One cell: every DDT size sees the same trace."""
+    """One cell: every DDT size sees the same trace, all of them from
+    one LRU stack (:class:`~repro.dependence.detector.LRUStackProfiler`)."""
     if backend != "reference":
         sim = get_backend(backend)
         return None, lambda: _rows(workload, sim.ddt_profiles(
             workload, scale, list(sizes)))
-    profiler = DependenceProfiler([DDTConfig(size=size) for size in sizes])
+    profiler = make_profiler([DDTConfig(size=size) for size in sizes])
     return profiler.observe, lambda: _rows(workload, profiler.profiles)
 
 

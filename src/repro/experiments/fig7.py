@@ -51,13 +51,16 @@ class LocalityBreakdownRow:
         return self.coverage_raw + self.coverage_rar
 
 
-def observe(workload: Workload, scale: float,
+def observe(workload: Workload, scale: float, models: runner.Models,
             backend: str = DEFAULT_BACKEND) -> runner.Observer:
     """One cell: the locality breakdown and the cloaking engine (the
-    predict stage, always per instruction) see the same trace."""
-    engine = CloakingEngine(CloakingConfig.paper_accuracy())
+    predict stage, always per instruction) see the same trace.  On the
+    reference backend the engine is the pass's shared Section 5.3 engine,
+    which Figure 6 reports as its 2-bit row."""
+    config = CloakingConfig.paper_accuracy()
     if backend != "reference":
         sim = get_backend(backend)
+        engine = CloakingEngine(config)
 
         def finish_own() -> List[LocalityBreakdownRow]:
             for inst in sim.stream(workload, scale):
@@ -65,13 +68,9 @@ def observe(workload: Workload, scale: float,
             return _rows(workload, sim.address_value_locality(
                 workload, scale), engine)
         return None, finish_own
+    engine = models.get(CloakingEngine, config)
     analysis = AddressValueLocalityAnalysis()
-    observe_locality, observe_engine = analysis.observe, engine.observe
-
-    def feed(inst) -> None:
-        observe_locality(inst)
-        observe_engine(inst)
-    return feed, lambda: _rows(workload, analysis, engine)
+    return analysis.observe, lambda: _rows(workload, analysis, engine)
 
 
 def _rows(workload: Workload, analysis: AddressValueLocalityAnalysis,

@@ -2,20 +2,24 @@
 accuracy artefact observes, and class means.
 
 An accuracy artefact is an observer of one committed instruction stream.
-Its module's ``observe(workload, scale, **params)`` builds one cell's
-state and returns ``(feed, finish)``: ``feed(inst)`` takes each committed
-record in program order, and ``finish()`` returns the cell's rows.  A
-``None`` feed marks a cell that reads no shared stream (the numpy backend
-brings its own trace), so ``finish`` alone computes it.
-:func:`observe_pass` drives any number of observers from one
-interpretation of a workload; the harness runs every such cell of one
-(workload, scale) that way, and :func:`run` is the same pass for one
-artefact.
+Its module's ``observe(workload, scale, models, **params)`` builds one
+cell's state and returns ``(feed, finish)``: ``feed(inst)`` takes each
+committed record in program order, and ``finish()`` returns the cell's
+rows.  ``models`` is the pass's :class:`Models`: a cell asks it for the
+functional models it reads (a cloaking engine, a value predictor), and
+cells asking for the same model and configuration share one instance,
+which the pass feeds each record once, before any cell's ``feed``.  A
+``None`` feed marks a cell that reads nothing per record itself: its
+rows come from its models, or (the numpy backend) from a trace of its
+own, so ``finish`` alone computes it.  :func:`observe_pass` drives any
+number of observers from one interpretation of a workload; the harness
+runs every such cell of one (workload, scale) that way, and :func:`run`
+is the same pass for one artefact.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.trace.records import DynInst
 from repro.workloads import all_workloads, get_workload
@@ -53,14 +57,39 @@ def select_workloads(names: Optional[Sequence[str]] = None) -> List[Workload]:
     return selected
 
 
-def observe_pass(workload: Workload, scale: float,
-                 observers: Sequence[Observer]) -> List[list]:
-    """Feed one trace of ``workload`` to every observer; their rows.
+class Models:
+    """The functional models one trace pass shares among its observers.
 
-    The workload is interpreted at most once, and not at all when no
-    observer has a feed.
+    ``get(factory, *args)`` builds ``factory(*args)`` on the first request
+    for that factory and those (hashable) arguments, and returns the same
+    instance to every later one, so cells that read one model and
+    configuration drive it once.  The pass owns its models: a new pass
+    starts with none.
     """
-    feeds = [feed for feed, _ in observers if feed is not None]
+
+    def __init__(self) -> None:
+        self._instances: Dict[tuple, object] = {}
+        #: each model's ``observe``, in the order first requested
+        self.feeds: List[Callable[[DynInst], object]] = []
+
+    def get(self, factory: Callable, *args):
+        key = (factory, args)
+        model = self._instances.get(key)
+        if model is None:
+            model = self._instances[key] = factory(*args)
+            self.feeds.append(model.observe)
+        return model
+
+
+def observe_pass(workload: Workload, scale: float,
+                 observers: Sequence[Observer], models: Models) -> List[list]:
+    """Feed one trace of ``workload`` to ``models``, then to every
+    observer; the observers' rows.
+
+    The workload is interpreted at most once, and not at all when neither
+    a model nor an observer has a feed.
+    """
+    feeds = models.feeds + [feed for feed, _ in observers if feed is not None]
     if feeds:
         for inst in workload.trace(scale=scale):
             for feed in feeds:
@@ -71,9 +100,12 @@ def observe_pass(workload: Workload, scale: float,
 def run(observe: Callable[..., Observer], scale: float = DEFAULT_SCALE,
         workloads: Optional[Sequence[str]] = None, **params) -> list:
     """``observe``'s rows for the selected workloads, one pass each."""
-    return [row for workload in select_workloads(workloads)
-            for row in observe_pass(
-                workload, scale, [observe(workload, scale, **params)])[0]]
+    rows = []
+    for workload in select_workloads(workloads):
+        models = Models()
+        observer = observe(workload, scale, models, **params)
+        rows.extend(observe_pass(workload, scale, [observer], models)[0])
+    return rows
 
 
 def class_means(values_by_workload, workloads) -> tuple:

@@ -49,7 +49,8 @@ class CharacteristicsRow:
     sampling: str
 
 
-def observe(workload: Workload, scale: float) -> runner.Observer:
+def observe(workload: Workload, scale: float,
+            models: runner.Models) -> runner.Observer:
     """One cell: count the instruction mix of ``workload``'s trace."""
     stats = TraceStats()
 

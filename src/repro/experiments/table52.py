@@ -15,11 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core import CloakingConfig, CloakingEngine, LoadOutcome
+from repro.core import LoadOutcome
 from repro.experiments import runner
 from repro.experiments.report import format_table, pct
-from repro.predictors.value_prediction import LastValuePredictor
+from repro.isa.instructions import OpClass
+from repro.predictors.hybrid import HybridLoadPredictor
 from repro.workloads.base import Workload
+
+_LOAD = OpClass.LOAD
+_CORRECT_RAW = LoadOutcome.CORRECT_RAW
 
 
 @dataclass
@@ -40,22 +44,27 @@ class OverlapRow:
         return self.frac(self.cloak_only_raw + self.cloak_only_rar)
 
 
-def observe(workload: Workload, scale: float) -> runner.Observer:
-    """One cell: cloaking and a last-value predictor on every load."""
-    engine = CloakingEngine(CloakingConfig.paper_overlap())
-    predictor = LastValuePredictor(capacity=16 * 1024)
+def observe(workload: Workload, scale: float,
+            models: runner.Models) -> runner.Observer:
+    """One cell: cloaking and a last-value predictor on every load.
+
+    Both are the pass's shared hybrid's components (the Section 5.5
+    engine and a 16K last-value predictor, each observing exactly what a
+    standalone copy would), so ``ext_hybrid`` and this table drive them
+    once; the hybrid has seen each record before this feed does.
+    """
+    hybrid = models.get(HybridLoadPredictor)
     row = OverlapRow(workload.abbrev, workload.category, 0, 0, 0, 0, 0)
-    observe_engine, observe_vp = engine.observe, predictor.observe
 
     def feed(inst) -> None:
-        outcome = observe_engine(inst)
-        if not inst.is_load:
+        if inst.opclass != _LOAD:
             return
         row.loads += 1
-        vp_correct = observe_vp(inst.pc, inst.value)
-        cloak_correct = outcome is not None and outcome.correct
+        outcome = hybrid.last_outcome
+        vp_correct = hybrid.last_vp_correct
+        cloak_correct = outcome.correct
         if cloak_correct and not vp_correct:
-            if outcome == LoadOutcome.CORRECT_RAW:
+            if outcome == _CORRECT_RAW:
                 row.cloak_only_raw += 1
             else:
                 row.cloak_only_rar += 1

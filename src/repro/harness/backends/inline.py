@@ -6,7 +6,8 @@ routes through here with ``workers=0``) agrees with it by construction.
 
 Cells whose module observes a trace (``observe``; the accuracy
 artefacts) are grouped by (workload, scale), and each group of two or
-more is computed from one trace pass.  Every cell still gets its own
+more is computed from one trace pass, which drives one instance of each
+model and configuration its cells read.  Every cell still gets its own
 store object under its own key.  If the shared pass raises, its cells
 run one at a time like every other cell: a failed job is retried on the
 spot, after the key-derived backoff, so only the faulty cell fails.

@@ -6,10 +6,10 @@ are independent — so the whole evaluation decomposes into a grid of
 :class:`JobSpec` cells that can execute in any order on any worker, with
 the aggregate recomposed by concatenating each artefact's per-workload
 rows in paper order (exactly what the serial loop produced).  A module
-that also exposes ``observe(workload, scale, **params)`` (the accuracy
-artefacts; see :mod:`repro.experiments.runner`) lets an inline run
-compute all such cells of one (workload, scale) from one trace pass
-(:func:`execute_shared`).
+that also exposes ``observe(workload, scale, models, **params)`` (the
+accuracy artefacts; see :mod:`repro.experiments.runner`) lets an inline
+run compute all such cells of one (workload, scale) from one trace pass
+that shares one instance of each model they read (:func:`execute_shared`).
 
 How a job is run — its timeout, retry budget, kill grace and retry
 backoff — is one :class:`JobPolicy`.  A queued job carries its policy in
@@ -218,8 +218,9 @@ def execute_job(spec: JobSpec) -> list:
 
 
 def job_observer(spec: JobSpec) -> Optional[Callable]:
-    """The ``observe(workload, scale, **params)`` of the cell's module,
-    or None when the module has none (the cell then runs only alone)."""
+    """The ``observe(workload, scale, models, **params)`` of the cell's
+    module, or None when the module has none (the cell then runs only
+    alone)."""
     module = importlib.import_module(get_artefact(spec.artefact).module)
     return getattr(module, "observe", None)
 
@@ -228,20 +229,24 @@ def execute_shared(specs: Sequence[JobSpec]) -> List[list]:
     """Run cells of one (workload, scale) from one trace pass, in the
     current process; returns each cell's row list, in order.
 
-    Every cell's module must define ``observe``.  Raises as soon as any
-    cell's hook or observer does, so the caller can run the cells alone.
+    Every cell's module must define ``observe``.  The cells share one
+    :class:`~repro.experiments.runner.Models`, so a model and
+    configuration several of them read is built and driven once.  Raises
+    as soon as any cell's hook or observer does, so the caller can run
+    the cells alone.
     """
-    from repro.experiments.runner import observe_pass
+    from repro.experiments.runner import Models, observe_pass
     from repro.workloads import get_workload
 
     workload = get_workload(specs[0].workload)
+    models = Models()
     observers = []
     for spec in specs:
         if _INJECTION_HOOK is not None:
             _INJECTION_HOOK(spec)
-        observers.append(job_observer(spec)(workload, spec.scale,
+        observers.append(job_observer(spec)(workload, spec.scale, models,
                                             **spec.params_dict))
-    return observe_pass(workload, specs[0].scale, observers)
+    return observe_pass(workload, specs[0].scale, observers, models)
 
 
 def render_rows(artefact: str, rows: list) -> str:

@@ -4,8 +4,8 @@ Every entry names a module exposing the uniform interface
 ``run(scale, workloads) -> rows`` / ``render(rows) -> str``, and may add
 a per-cell ``run_one(workload, scale, **params)`` when one cell must do
 more than ``run`` over a single workload, or an ``observe(workload,
-scale, **params)`` that lets inline runs share one trace pass among
-cells (:mod:`repro.experiments.runner`).  A cell's store key is its
+scale, models, **params)`` that lets inline runs share one trace pass,
+and the models it drives, among cells (:mod:`repro.experiments.runner`).  A cell's store key is its
 ``JobSpec`` identity plus the code fingerprint; every registered module
 lives outside ``repro.harness``, so the fingerprint covers its code and
 the configuration constants it bakes in.

@@ -22,11 +22,14 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-from repro.core.cloaking import CloakingEngine
+from repro.core.cloaking import CloakingEngine, LoadOutcome
 from repro.core.config import CloakingConfig
+from repro.isa.instructions import OpClass
 from repro.predictors.confidence import ConfidenceKind, ConfidenceState
 from repro.predictors.value_prediction import LastValuePredictor
 from repro.trace.records import DynInst
+
+_LOAD = OpClass.LOAD
 
 
 class HybridSource(enum.Enum):
@@ -35,6 +38,11 @@ class HybridSource(enum.Enum):
     NONE = "none"
     CLOAKING = "cloaking"
     VALUE_PREDICTOR = "value-predictor"
+
+
+_NONE = HybridSource.NONE
+_CLOAKING = HybridSource.CLOAKING
+_VALUE_PREDICTOR = HybridSource.VALUE_PREDICTOR
 
 
 @dataclass
@@ -68,7 +76,13 @@ class HybridStats:
 
 
 class HybridLoadPredictor:
-    """Cloaking first, confidence-gated last-value prediction second."""
+    """Cloaking first, confidence-gated last-value prediction second.
+
+    After each load, ``last_outcome`` holds what the engine did with it
+    and ``last_vp_correct`` whether the last-value predictor's prediction
+    was right, both as standalone copies of the two would report them
+    (Table 5.2 reads them per load).
+    """
 
     def __init__(
         self,
@@ -88,12 +102,15 @@ class HybridLoadPredictor:
         self.vp_confidence = vp_confidence
         self._vp_confidence: Dict[int, ConfidenceState] = {}
         self.stats = HybridStats()
+        self.last_outcome: Optional[LoadOutcome] = None
+        self.last_vp_correct = False
 
     def observe(self, inst: DynInst) -> HybridSource:
         """Account one committed instruction; returns the prediction source."""
         outcome = self.engine.observe(inst)
-        if not inst.is_load:
-            return HybridSource.NONE
+        if inst.opclass != _LOAD:
+            return _NONE
+        self.last_outcome = outcome
         self.stats.loads += 1
 
         if outcome is not None and outcome.speculated:
@@ -103,7 +120,7 @@ class HybridLoadPredictor:
                 self.stats.correct_cloaking += 1
             else:
                 self.stats.wrong_cloaking += 1
-            return HybridSource.CLOAKING
+            return _CLOAKING
 
         used, correct = self._train_vp(inst, use=True)
         if used:
@@ -111,8 +128,8 @@ class HybridLoadPredictor:
                 self.stats.correct_vp += 1
             else:
                 self.stats.wrong_vp += 1
-            return HybridSource.VALUE_PREDICTOR
-        return HybridSource.NONE
+            return _VALUE_PREDICTOR
+        return _NONE
 
     def _train_vp(self, inst: DynInst, use: bool):
         """Verify + train the value predictor; returns (used, correct).
@@ -122,7 +139,8 @@ class HybridLoadPredictor:
         cloaking side separates silent verification from value use.
         """
         predicted = self.value_predictor.predict(inst.pc)
-        correct = self.value_predictor.observe(inst.pc, inst.value)
+        correct = self.last_vp_correct = self.value_predictor.observe(
+            inst.pc, inst.value)
         confidence = self._vp_confidence.get(inst.pc)
         if confidence is None:
             confidence = self._vp_confidence[inst.pc] = ConfidenceState(

@@ -20,7 +20,7 @@ class MidstreamRow:
     records: int
 
 
-def observe(workload, scale: float):
+def observe(workload, scale: float, models):
     seen = 0
 
     def feed(inst) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.dependence.ddt import DDT
 from repro.experiments import fig2, fig5, fig6, fig7, fig9, fig10, table51, table52
 
 SUBSET = ["li", "com", "swm"]
@@ -50,6 +51,20 @@ class TestFig5:
         # visibility is (weakly) monotone in DDT size for a RAW-heavy code
         assert totals == sorted(totals)
         assert "DDT" in fig5.render(rows)
+
+    def test_builds_no_ddt(self, monkeypatch):
+        """The reference cell derives every size from one LRU stack
+        (``LRUStackProfiler``) instead of replaying one DDT per size."""
+        built = []
+        original = DDT.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(DDT, "__init__", counting_init)
+        rows = fig5.run(scale=SCALE, workloads=["li"])
+        assert [row.ddt_size for row in rows] == list(fig5.DDT_SIZES)
+        assert built == []
 
 
 class TestFig6:
@@ -100,6 +115,52 @@ class TestFig9:
         }
         assert rows[0].base_ipc > 0
         assert "Figure 9" in fig9.render(rows)
+
+    @pytest.mark.parametrize("abbrev", ["li", "tom", "gcc"])
+    def test_recovery_policies_see_one_engine_stream(self, abbrev,
+                                                     monkeypatch):
+        """What sharing one engine between a mode's selective and squash
+        machines would need (they do not share one): in fig9's pass both
+        get equal ``observe_timing`` streams and ``CloakingStats``, and
+        all five machines count the same branches and mispredictions."""
+        machines = []
+
+        class RecordedBase(fig9.Processor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                machines.append(self)
+
+        class Recorded(fig9.CloakedProcessor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                machines.append(self)
+                self.observed = []
+                observe_timing = self.engine.observe_timing
+
+                def record(inst):
+                    observed = observe_timing(inst)
+                    self.observed.append(observed)
+                    return observed
+                self.engine.observe_timing = record
+        monkeypatch.setattr(fig9, "Processor", RecordedBase)
+        monkeypatch.setattr(fig9, "CloakedProcessor", Recorded)
+        fig9.run(scale=0.05, workloads=[abbrev])
+
+        base, *cloaked = machines
+        assert isinstance(base, RecordedBase) and len(cloaked) == 4
+        by_label = dict(zip([label for label, _, _ in fig9.CONFIGS], cloaked))
+        for mode in ("RAW", "RAW+RAR"):
+            selective = by_label[f"selective/{mode}"]
+            squash = by_label[f"squash/{mode}"]
+            assert selective.observed == squash.observed
+            assert selective.engine.stats == squash.engine.stats
+        assert any(access is not None and access.outcome.speculated
+                   for access in by_label["selective/RAW+RAR"].observed)
+        counts = {(machine.result.branches, machine.result.branch_mispredicts)
+                  for machine in machines}
+        assert len(counts) == 1
+        (branches, mispredicts), = counts
+        assert branches > mispredicts > 0
 
     def test_summary_structure(self):
         rows = fig9.run(scale=SCALE, workloads=["com", "swm"])

@@ -268,6 +268,31 @@ class TestSharedPass:
                       workers=0)
         assert sorted(trace_calls) == ["li", "tom"]
 
+    def test_one_model_per_distinct_config(self, monkeypatch):
+        """fig6's 2-bit engine is fig7's, and table52 reads ext_hybrid's
+        engine and 16K last-value predictor: 3 engines and 1 predictor
+        where each cell alone builds 5 and 2."""
+        from repro.core.cloaking import CloakingEngine
+        from repro.predictors.value_prediction import LastValuePredictor
+
+        built = []
+        for cls in (CloakingEngine, LastValuePredictor):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                built.append(self)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        names = ("fig6", "fig7", "table52", "ext_hybrid")
+        outcome = run_artefacts([(name, SCALE) for name in names], ["li"],
+                                workers=0)
+        engines = [m for m in built if isinstance(m, CloakingEngine)]
+        predictors = [m for m in built if isinstance(m, LastValuePredictor)]
+        assert len(engines) == 3
+        assert len(predictors) == 1
+        assert predictors[0]._table.capacity == 16 * 1024
+        for name in names:
+            assert outcome.rows(name) == execute_job(make_job(name, "li",
+                                                              SCALE)), name
+
     def test_timing_figures_keep_their_own_pass(self, trace_calls):
         """fig9 and fig10 share no pass: one fig9+fig10 pass would hold
         both figures' machines at once for one interpretation."""
